@@ -2,7 +2,8 @@
 series coefficients, and both evolution solvers, all emitting JSON.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad files, bad
-expressions), 2 desk-scale size guard.
+expressions) or a result that overflows or is not finite, 2 desk-scale
+size guard.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ def _load(path: str) -> trees.TreeDiagram:
         raise _CliError(f"tree file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"tree file is not valid JSON: {exc}")
-
-
-def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, ensure_ascii=False) + "\n")
 
 
 def _cmd_info(ns) -> dict:
@@ -228,7 +225,8 @@ def _dump_csv(solution: heat.HeatSolution, t: float, path: str, grid: int) -> No
         idx = [0] * n
         while True:
             x = [axes[d][idx[d]] for d in range(n)]
-            writer.writerow([repr(t)] + [repr(v) for v in x] + [repr(solution(t, x))])
+            row = [t] + x + [solution(t, x)]
+            writer.writerow([repr(float(v)) for v in row])
             d = n - 1
             while d >= 0:
                 idx[d] += 1
@@ -254,17 +252,24 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        doc = _COMMANDS[ns.command](ns)
+        # a non-finite result fails the strict JSON encoding below; numpy
+        # need not warn on the way
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            doc = _COMMANDS[ns.command](ns)
+        text = json.dumps(doc, ensure_ascii=False, allow_nan=False) + "\n"
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TreeValidationError, ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OverflowError, RecursionError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 2
-    _emit(doc)
+    sys.stdout.write(text)
     return 0
 
 

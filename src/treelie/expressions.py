@@ -126,7 +126,10 @@ def parse_expression(text: str, n: int) -> ExprNode:
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)
     toks = _Tokens(text)
-    ast = _parse_sum(toks, n)
+    try:
+        ast = _parse_sum(toks, n)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply", toks.peek()[2]) from None
     kind, _, off = toks.peek()
     if kind != "end":
         raise ExpressionError("unexpected trailing input", off)

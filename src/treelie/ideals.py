@@ -3,11 +3,14 @@ solvable extensions of the two tree algebras.
 
 Ideals are recorded as root sets: each basis monomial x^a d/dx_j is the
 unique vector for the integer root (a with -1 in slot j), and every
-abelian ideal is a sum of such one-dimensional root spaces. The upward
-enumeration builds ideals from generator data (an independent anchor set
-plus antichains in the anchor posets); the downward enumeration, and the
-oracle both directions, walk downsets of the bracket-reachability
-preorder and keep the ones whose members pairwise commute.
+abelian ideal is a sum of such one-dimensional root spaces. Upward,
+ideals are built from generator data: an independent anchor set plus,
+per anchor, an assignment of antichains in its poset. They are counted
+without being built, by a product over the tree of the assignment counts
+at each possible anchor. Downward, and in the oracle for both directions,
+ideals are the downsets of the bracket-reachability preorder of
+``liealg.structure_table`` whose members pairwise commute, found by one
+bitmask search that counts them or records them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from math import prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SizeGuardError
-from .liealg import _bracket_monomials, enumerate_basis, root_of_monomial
+from .liealg import StructureTable, _bits, lattice_points, structure_table
+# perfbench's tracer test checks that its wrappers reach this binding too
+from .liealg import enumerate_basis  # noqa: F401
 from .trees import TreeDiagram, classify_nodes, weights
 
 __all__ = [
@@ -68,27 +73,9 @@ class RootPoset:
         vb = self.values[self._index[b]]
         return all(x <= y for x, y in zip(va, vb))
 
-    def strictly_less(self, a, b) -> bool:
-        return a != b and self.leq(a, b)
-
     def downset(self, tops: Iterable[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], ...]:
         tops = list(tops)
         return tuple(e for e in self.elements if any(self.leq(e, t) for t in tops))
-
-    def maximal_elements(self, subset: Iterable[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], ...]:
-        sub = list(subset)
-        return tuple(
-            e for e in sub if not any(self.strictly_less(e, o) for o in sub)
-        )
-
-    def is_antichain(self, subset: Iterable[Tuple[int, ...]]) -> bool:
-        sub = list(subset)
-        return all(
-            not self.leq(a, b)
-            for i, a in enumerate(sub)
-            for j, b in enumerate(sub)
-            if i != j
-        )
 
     def antichains(self) -> List[Tuple[Tuple[int, ...], ...]]:
         """All antichains, the empty one included, in canonical order."""
@@ -144,7 +131,7 @@ def root_poset(tree: TreeDiagram, i: int, direction: str) -> RootPoset:
         support = path[:-1]
         ws = [tree.weight(q) for q in path[1:]]
         coefs = [prod(ws[:s]) for s in range(len(ws))]
-        elements = _lattice(coefs, prod(ws))
+        elements = lattice_points(coefs, prod(ws))
         values = []
         for el in elements:
             vals = []
@@ -158,7 +145,7 @@ def root_poset(tree: TreeDiagram, i: int, direction: str) -> RootPoset:
         support = desc
         data = weights(tree, i)
         coefs = [data.kappa_map[s] for s in desc]
-        elements = _lattice(coefs, data.kappa)
+        elements = lattice_points(coefs, data.kappa)
         pos = {s: k for k, s in enumerate(desc)}
         paths = {}
         for m in desc:
@@ -188,23 +175,6 @@ def root_poset(tree: TreeDiagram, i: int, direction: str) -> RootPoset:
     )
 
 
-def _lattice(coefs, bound):
-    points = []
-
-    def rec(pos, prefix, remaining):
-        if pos == len(coefs):
-            points.append(tuple(prefix))
-            return
-        for v in range(remaining // coefs[pos] + 1):
-            prefix.append(v)
-            rec(pos + 1, prefix, remaining - coefs[pos] * v)
-            prefix.pop()
-
-    rec(0, [], bound)
-    points.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
-    return points
-
-
 def _element_root(support: Sequence[int], element: Sequence[int], anchor: int, n: int) -> Root:
     vec = [0] * n
     for node, e in zip(support, element):
@@ -213,82 +183,35 @@ def _element_root(support: Sequence[int], element: Sequence[int], anchor: int, n
     return tuple(vec)
 
 
-# ---------------------------------------------------------- algebra tables
+# ---------------------------------------------------------- downset search
 
 
-class _AlgebraData:
-    """Root list with bracket reachability and commutation tables."""
+def _abelian_downsets(table: StructureTable, found: Optional[List[int]] = None) -> int:
+    """Number of index sets closed under bracket reachability whose members
+    pairwise commute; each is visited exactly once and, when ``found`` is
+    given, appended to it as a bitmask over the basis."""
+    closures, commute = table.closures, table.commute
 
-    def __init__(self, tree: TreeDiagram, direction: str):
-        basis = enumerate_basis(tree, direction)
-        self.tree = tree
-        self.direction = direction
-        self.roots: List[Root] = [root_of_monomial(m) for m in basis]
-        self.keys = [(m.exps, m.dvar) for m in basis]
-        self.index = {r: k for k, r in enumerate(self.roots)}
-        nb = len(basis)
-        self.commute = [[True] * nb for _ in range(nb)]
-        succ = [set() for _ in range(nb)]
-        for p in range(nb):
-            for q in range(nb):
-                if p == q:
-                    continue
-                terms = _bracket_monomials(*self.keys[p], *self.keys[q])
-                if terms:
-                    self.commute[p][q] = self.commute[q][p] = False
-                    for (exps, dvar), _ in terms:
-                        vec = list(exps)
-                        vec[dvar - 1] = -1
-                        succ[q].add(self.index[tuple(vec)])
-        self.closures: List[FrozenSet[int]] = []
-        for a in range(nb):
-            seen = {a}
-            stack = [a]
-            while stack:
-                c = stack.pop()
-                for s in succ[c]:
-                    if s not in seen:
-                        seen.add(s)
-                        stack.append(s)
-            self.closures.append(frozenset(seen))
-        self.succ = succ
+    def rec(members, compat, excluded):
+        # compat: the indices commuting with every member; the others can
+        # never join, so only compatible undecided indices are branched on
+        free = compat & ~(members | excluded)
+        if not free:
+            if found is not None:
+                found.append(members)
+            return 1
+        low = free & -free
+        total = rec(members, compat, excluded | low)
+        need = closures[low.bit_length() - 1] & ~members
+        if need & ~free:
+            return total
+        for j in _bits(need):
+            compat &= commute[j]
+        if need & ~compat:
+            return total
+        return total + rec(members | need, compat, excluded)
 
-
-def _abelian_downsets(data: _AlgebraData) -> List[FrozenSet[int]]:
-    """All index sets closed under bracket reachability whose members
-    pairwise commute; each downset is visited exactly once."""
-    nb = len(data.roots)
-    UND, OUT, IN = -1, 0, 1
-    status = [UND] * nb
-    members: List[int] = []
-    found: List[FrozenSet[int]] = []
-
-    def rec(i):
-        if i == nb:
-            found.append(frozenset(members))
-            return
-        if status[i] != UND:
-            rec(i + 1)
-            return
-        status[i] = OUT
-        rec(i + 1)
-        status[i] = UND
-        need = [j for j in data.closures[i] if status[j] != IN]
-        if all(status[j] == UND for j in need):
-            ok = all(
-                data.commute[a][b] for ai, a in enumerate(need) for b in need[ai + 1:]
-            ) and all(data.commute[a][b] for a in need for b in members)
-            if ok:
-                for j in need:
-                    status[j] = IN
-                members.extend(need)
-                rec(i + 1)
-                for j in need:
-                    status[j] = UND
-                del members[len(members) - len(need):]
-
-    rec(0)
-    return found
+    return rec(0, (1 << len(table.roots)) - 1, 0)
 
 
 # ----------------------------------------------------------- constructions
@@ -391,46 +314,61 @@ def maximal_ideals(tree: TreeDiagram, direction: str) -> List[AbelianIdeal]:
     return keep
 
 
+def _anchor_assignments(tree: TreeDiagram, poset: RootPoset, nodes: Sequence[int]) -> List[Dict[int, Tuple]]:
+    """Antichain assignments to the nodes of one anchor subtree.
+
+    ``nodes`` is the anchor followed by its descendants, parents first.
+    The anchor's antichain is nonempty, and no entry of a node's antichain
+    lies below an entry at one of its tree ancestors.
+    """
+    anchor = poset.node
+    parent = {r: tree.parent(r) for r in nodes if r != anchor}
+    chains = poset.antichains()
+    # elements as bits: each antichain's entries, and the elements lying
+    # above some entry (an ancestor entry there would conflict)
+    bit = {e: 1 << k for k, e in enumerate(poset.elements)}
+    entries = [sum(bit[e] for e in k) for k in chains]
+    above = [
+        sum(bit[e] for e in poset.elements if any(poset.leq(ll, e) for ll in k))
+        for k in chains
+    ]
+    nonempty = [c for c, k in enumerate(chains) if k]
+    assigns: List[Dict[int, Tuple]] = []
+    current: Dict[int, Tuple] = {}
+    seen: Dict[int, int] = {}  # entries at a node and at its ancestors
+
+    def rec(pos):
+        if pos == len(nodes):
+            assigns.append(dict(current))
+            return
+        r = nodes[pos]
+        blocked = seen[parent[r]] if r != anchor else 0
+        for c in nonempty if r == anchor else range(len(chains)):
+            if above[c] & blocked:
+                continue
+            current[r] = chains[c]
+            seen[r] = blocked | entries[c]
+            rec(pos + 1)
+        current.pop(r, None)
+
+    rec(0)
+    return assigns
+
+
 def _up_admissible(tree: TreeDiagram):
     """Yield (roots, pair) for every admissible generator datum.
 
     Anchors form a nonempty independent subset of the weight-free ground
-    set; each node of an anchor subtree carries an antichain in the anchor
-    poset (nonempty at the anchor itself); and an antichain entry may not
-    lie below an entry at a tree ancestor, which keeps generator data and
-    ideals in bijection.
+    set, and each anchor subtree carries an antichain assignment
+    (``_anchor_assignments``); the restriction on entries below an
+    ancestor's entries keeps generator data and ideals in bijection.
     """
     cls = classify_nodes(tree)
     posets = {i: root_poset(tree, i, "up") for i in cls.upsilon}
-
-    def anchor_assignments(i):
-        poset = posets[i]
-        nodes = (i,) + cls.descendants[i]
-        chains = poset.antichains()
-        assigns: List[Dict[int, Tuple]] = []
-
-        def rec(pos, current):
-            if pos == len(nodes):
-                assigns.append(dict(current))
-                return
-            r = nodes[pos]
-            options = [k for k in chains if k] if r == i else chains
-            for k in options:
-                ok = True
-                q = r
-                while q != i and ok:
-                    q = tree.parent(q)
-                    for jj in current.get(q, ()):
-                        if any(poset.leq(ll, jj) for ll in k):
-                            ok = False
-                            break
-                if ok:
-                    current[r] = k
-                    rec(pos + 1, current)
-                    del current[r]
-
-        rec(0, {})
-        return assigns
+    assignments = {
+        i: _anchor_assignments(tree, posets[i], (i,) + cls.descendants[i])
+        for i in cls.upsilon
+    }
 
     def materialize(i, assignment):
         poset = posets[i]
@@ -447,8 +385,7 @@ def _up_admissible(tree: TreeDiagram):
 
     anchor_sets = [s for s in _independent_subsets(tree, cls.upsilon) if s]
     for anchors in anchor_sets:
-        per_anchor = [anchor_assignments(i) for i in anchors]
-        for combo in iproduct(*per_anchor):
+        for combo in iproduct(*(assignments[i] for i in anchors)):
             roots = set()
             chain_items = []
             for i, assignment in zip(anchors, combo):
@@ -463,20 +400,45 @@ def _up_admissible(tree: TreeDiagram):
             yield frozenset(roots), pair
 
 
+def _count_up(tree: TreeDiagram) -> int:
+    """Number of upward abelian ideals, the zero ideal included.
+
+    Counts the generator data of the subtree of v, including none:
+    A(v) = prod over children c of A(c) + [v in upsilon] * a(v), as an
+    anchor at v rules out anchors below it and a(v) counts its antichain
+    assignments; the answer is A(1).
+    """
+    cls = classify_nodes(tree)
+    upsilon = set(cls.upsilon)
+    total: Dict[int, int] = {}
+    for v in range(tree.n, 0, -1):  # children carry larger labels
+        ways = prod(total[c] for c in cls.children[v])
+        if v in upsilon:
+            poset = root_poset(tree, v, "up")
+            ways += len(_anchor_assignments(tree, poset, (v,) + cls.descendants[v]))
+        total[v] = ways
+    return total[1]
+
+
 def enumerate_ideals(tree: TreeDiagram, direction: str, mode: str = "list"):
     """All abelian ideals, the zero ideal included.
 
     Upward the generator-data construction is used; downward the
-    bracket-reachability downset enumerator (the oracle algorithm) is the
-    primary path. ``mode='count'`` returns the total only; list mode is
-    guarded at 24 roots.
+    bracket-reachability downset search (the oracle algorithm) is the
+    primary path. ``mode='count'`` returns the total only, without
+    building any ideal (upward by the anchor product of ``_count_up``);
+    list mode is guarded at 24 roots.
     """
     if mode not in ("list", "count"):
         raise ValueError(f"mode must be 'list' or 'count', got {mode!r}")
-    data = _AlgebraData(tree, direction)
-    if mode == "list" and len(data.roots) > LIST_GUARD:
+    if mode == "count":
+        if direction == "up":
+            return _count_up(tree)
+        return _abelian_downsets(structure_table(tree, direction))
+    table = structure_table(tree, direction)
+    if len(table.roots) > LIST_GUARD:
         raise SizeGuardError(
-            f"{len(data.roots)} roots exceeds the list-mode guard of {LIST_GUARD};"
+            f"{len(table.roots)} roots exceeds the list-mode guard of {LIST_GUARD};"
             " use count mode or the closed-form counts"
         )
     if direction == "up":
@@ -488,22 +450,28 @@ def enumerate_ideals(tree: TreeDiagram, direction: str, mode: str = "list"):
                 seen[roots] = AbelianIdeal(roots=roots, generator_pair=pair)
         ideals = list(seen.values())
     else:
+        found: List[int] = []
+        _abelian_downsets(table, found)
         ideals = [
-            AbelianIdeal(roots=frozenset(data.roots[k] for k in subset))
-            for subset in _abelian_downsets(data)
+            AbelianIdeal(roots=frozenset(table.roots[k] for k in _bits(mask)))
+            for mask in found
         ]
-    if mode == "count":
-        return len(ideals)
     ideals.sort(key=lambda ideal: (ideal.dim, ideal.canonical()))
-    root_sets = [i.roots for i in ideals]
-    flagged = [
-        AbelianIdeal(
-            roots=i.roots,
-            maximal=not any(i.roots < other for other in root_sets),
-            generator_pair=i.generator_pair,
+    # an abelian ideal I is maximal unless some index r outside it has an
+    # abelian closure commuting with I: I plus that closure is then a larger
+    # abelian ideal, and every larger one contains such a closure
+    closures, commute = table.closures, table.commute
+    joinable = [not any(c & ~commute[k] for k in _bits(c)) for c in closures]
+    flagged = []
+    for i in ideals:
+        members = sum(1 << table.index[r] for r in i.roots)
+        common = (1 << len(closures)) - 1
+        for k in _bits(members):
+            common &= commute[k]
+        maximal = not any(
+            joinable[r] and not closures[r] & ~common for r in _bits(common & ~members)
         )
-        for i in ideals
-    ]
+        flagged.append(AbelianIdeal(roots=i.roots, maximal=maximal, generator_pair=i.generator_pair))
     return flagged
 
 
@@ -515,15 +483,14 @@ def count_admissible_pairs(tree: TreeDiagram) -> int:
 def brute_force_ideals(tree: TreeDiagram, direction: str) -> List[Tuple[Root, ...]]:
     """Oracle: canonical sorted root lists of every abelian ideal, found by
     downset search over bracket reachability plus pairwise commutation."""
-    data = _AlgebraData(tree, direction)
-    if len(data.roots) > ORACLE_GUARD:
+    table = structure_table(tree, direction)
+    if len(table.roots) > ORACLE_GUARD:
         raise SizeGuardError(
-            f"{len(data.roots)} roots exceeds the oracle guard of {ORACLE_GUARD}"
+            f"{len(table.roots)} roots exceeds the oracle guard of {ORACLE_GUARD}"
         )
-    out = [
-        tuple(sorted(data.roots[k] for k in subset))
-        for subset in _abelian_downsets(data)
-    ]
+    found: List[int] = []
+    _abelian_downsets(table, found)
+    out = [tuple(sorted(table.roots[k] for k in _bits(mask))) for mask in found]
     out.sort(key=lambda rs: (len(rs), rs))
     return out
 
@@ -536,30 +503,29 @@ def is_abelian_ideal(tree: TreeDiagram, direction: str, roots: Iterable[Root]):
     only brackets against the nilpotent basis need computing. Returns
     (True, None) or (False, certificate).
     """
-    data = _AlgebraData(tree, direction)
+    table = structure_table(tree, direction)
     chosen = []
     for r in roots:
         r = tuple(r)
-        if r not in data.index:
+        if r not in table.index:
             raise ValueError(f"unknown root {r}")
-        chosen.append(data.index[r])
+        chosen.append(table.index[r])
     chosen_set = set(chosen)
+    full = (1 << len(table.roots)) - 1
     for a in chosen:
-        for b in range(len(data.roots)):
-            if data.commute[b][a]:
-                continue
-            # roots add under the bracket
-            image = tuple(x + y for x, y in zip(data.roots[b], data.roots[a]))
+        for b in _bits(full & ~table.commute[a]):
             if b in chosen_set:
                 return False, {
                     "kind": "not_abelian",
-                    "pair": (data.roots[b], data.roots[a]),
+                    "pair": (table.roots[b], table.roots[a]),
                 }
-            if data.index.get(image) not in chosen_set:
+            # roots add under the bracket
+            image = tuple(x + y for x, y in zip(table.roots[b], table.roots[a]))
+            if table.index.get(image) not in chosen_set:
                 return False, {
                     "kind": "not_closed",
-                    "outer": data.roots[b],
-                    "inner": data.roots[a],
+                    "outer": table.roots[b],
+                    "inner": table.roots[a],
                     "image": image,
                 }
     return True, None

@@ -22,12 +22,14 @@ __all__ = [
     "DiffOpMonomial",
     "LieElement",
     "StructureReport",
+    "StructureTable",
     "bracket",
     "enumerate_basis",
     "dim_and_nilpotence",
     "roots",
     "root_of_monomial",
     "verify_structure",
+    "structure_table",
     "ell",
     "beta",
     "lattice_points",
@@ -224,11 +226,8 @@ def roots(tree: TreeDiagram, direction: str):
     """One root per basis monomial, in basis order; pairwise distinct."""
     basis = enumerate_basis(tree, direction)
     pairs = [(root_of_monomial(m), m) for m in basis]
-    seen = set()
-    for r, _ in pairs:
-        if r in seen:
-            raise AssertionError("duplicate root in basis enumeration")
-        seen.add(r)
+    if len({r for r, _ in pairs}) != len(pairs):
+        raise AssertionError("duplicate root in basis enumeration")
     return pairs
 
 
@@ -286,6 +285,110 @@ def dim_and_nilpotence(tree: TreeDiagram, direction: str) -> Tuple[int, int]:
 
 
 @dataclass(frozen=True)
+class StructureTable:
+    """Bracket data of one algebra in its root grading.
+
+    Roots add under the bracket and the basis roots are pairwise distinct,
+    so the bracket of basis elements p and q is a nonzero multiple of at
+    most one basis element, and for fixed p different q give different
+    images. Every span the structure checks need is therefore spanned by
+    basis elements and is held as an int bitmask whose bit k stands for
+    basis element k.
+
+    ``closed``: every term of every basis bracket is a basis monomial.
+    ``commute[p]``: the q with [p, q] = 0 (p itself included).
+    ``ad_images[q]``: the images of q under bracketing with the basis.
+    ``central_series``: C_1 = the whole basis, C_{k+1} = [basis, C_k],
+    down to the last nonzero term.
+    ``closures[q]``: q and everything reached from it by repeated brackets.
+    """
+
+    keys: Tuple[Tuple[Tuple[int, ...], int], ...]
+    roots: Tuple[Tuple[int, ...], ...]
+    index: Dict[Tuple[int, ...], int]
+    closed: bool
+    commute: Tuple[int, ...]
+    ad_images: Tuple[int, ...]
+    central_series: Tuple[int, ...]
+    closures: Tuple[int, ...]
+
+
+def _bits(mask: int):
+    """Indices of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def structure_table(tree: TreeDiagram, direction: str) -> StructureTable:
+    """Build the structure table of the upward or downward algebra."""
+    basis = enumerate_basis(tree, direction)
+    keys = tuple((m.exps, m.dvar) for m in basis)
+    roots_ = tuple(root_of_monomial(m) for m in basis)
+    index = {r: k for k, r in enumerate(roots_)}
+    if len(index) != len(roots_):
+        raise AssertionError("duplicate root in basis enumeration")
+    key_index = {key: k for k, key in enumerate(keys)}
+    nb = len(keys)
+
+    closed = True
+    commute = []
+    ad_images = [0] * nb
+    full = (1 << nb) - 1
+    for p, (exps, dvar) in enumerate(keys):
+        partners = 0
+        for q, (exps_q, dvar_q) in enumerate(keys):
+            # [x^a d_i, x^b d_j] is nonzero exactly when b_i > 0 or a_j > 0
+            if not (exps_q[dvar - 1] or exps[dvar_q - 1]):
+                continue
+            partners |= 1 << q
+            terms = [key_index.get(key) for key, _ in _bracket_monomials(exps, dvar, exps_q, dvar_q)]
+            if None in terms:
+                closed = False
+                continue
+            # a two-term bracket holds x_j in its d/dx_j term, which is
+            # never a basis monomial, so a closed bracket has one term
+            (s,) = terms
+            ad_images[q] |= 1 << s
+        commute.append(full & ~partners)
+
+    series = []
+    current = full
+    while current:
+        series.append(current)
+        nxt = 0
+        for q in _bits(current):
+            nxt |= ad_images[q]
+        current = nxt
+
+    # images lie deeper in the central series, so this recursion ends
+    closures = [0] * nb
+
+    def close(q):
+        if not closures[q]:
+            mask = 1 << q
+            for s in _bits(ad_images[q]):
+                mask |= close(s)
+            closures[q] = mask
+        return closures[q]
+
+    for q in range(nb):
+        close(q)
+
+    return StructureTable(
+        keys=keys,
+        roots=roots_,
+        index=index,
+        closed=closed,
+        commute=tuple(commute),
+        ad_images=tuple(ad_images),
+        central_series=tuple(series),
+        closures=tuple(closures),
+    )
+
+
+@dataclass(frozen=True)
 class StructureReport:
     closure: bool
     central_series_dims: Tuple[int, ...]
@@ -293,72 +396,25 @@ class StructureReport:
 
 
 def verify_structure(tree: TreeDiagram, direction: str) -> StructureReport:
-    """Closure, iterated-bracket central series, and exact ad-kernel center.
+    """Closure, iterated-bracket lower central series, and center.
 
-    All linear algebra is exact Gaussian elimination over the rationals;
-    a failed check is reported, never raised.
+    Closure holds when every term of every bracket of two basis monomials
+    is itself a basis monomial. The series terms C_{k+1} = [g, C_k] and
+    the center (the common kernel of all ad maps) are spans of basis
+    monomials, read off the structure table as index sets: the dimensions
+    are their sizes and the center is returned as unit elements in basis
+    order. A failed check is reported, never raised.
     """
-    basis = enumerate_basis(tree, direction)
-    keys = [(m.exps, m.dvar) for m in basis]
-    index = {k: i for i, k in enumerate(keys)}
-    nb = len(keys)
-
-    closure = True
-    table: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
-    for p in range(nb):
-        for q in range(nb):
-            if p == q:
-                continue
-            vec = []
-            ok = True
-            for key, mult in _bracket_monomials(*keys[p], *keys[q]):
-                if key not in index:
-                    ok = False
-                    closure = False
-                else:
-                    vec.append((index[key], Fraction(mult)))
-            if ok and vec:
-                table[(p, q)] = vec
-
-    def bracket_rows(rows):
-        out = []
-        for g in range(nb):
-            for row in rows:
-                acc = [Fraction(0)] * nb
-                hit = False
-                for j, cj in enumerate(row):
-                    if not cj:
-                        continue
-                    for idx, mult in table.get((g, j), ()):
-                        acc[idx] += cj * mult
-                        hit = True
-                if hit and any(acc):
-                    out.append(acc)
-        return _rref(out)
-
-    dims = []
-    current = [[Fraction(1 if i == j else 0) for j in range(nb)] for i in range(nb)]
-    while current:
-        dims.append(len(current))
-        current = bracket_rows(current)
-
-    # kernel of all ad maps: stack, per generator g, the rows of the matrix
-    # sending coefficient vectors to bracket images
-    stacked = []
-    for g in range(nb):
-        rows: Dict[int, List[Fraction]] = {}
-        for j in range(nb):
-            for idx, mult in table.get((g, j), ()):
-                rows.setdefault(idx, [Fraction(0)] * nb)[j] += mult
-        stacked.extend(rows.values())
-    kernel = _nullspace(_rref(stacked), nb)
+    table = structure_table(tree, direction)
+    full = (1 << len(table.keys)) - 1
     center = tuple(
-        LieElement(tree.n, {keys[j]: c for j, c in enumerate(vec) if c})
-        for vec in _rref(kernel)
+        LieElement(tree.n, {key: 1})
+        for key, commute in zip(table.keys, table.commute)
+        if commute == full
     )
     return StructureReport(
-        closure=closure,
-        central_series_dims=tuple(dims),
+        closure=table.closed,
+        central_series_dims=tuple(mask.bit_count() for mask in table.central_series),
         center_basis=center,
     )
 
@@ -366,44 +422,3 @@ def verify_structure(tree: TreeDiagram, direction: str) -> StructureReport:
 def _check_direction(direction: str) -> None:
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-
-
-def _rref(rows):
-    """Reduced row echelon form over Fraction; returns the pivot rows."""
-    out: List[Tuple[List[Fraction], int]] = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in out:
-            f = row[pcol]
-            if f:
-                row = [a - f * b for a, b in zip(row, prow)]
-        pc = next((c for c, a in enumerate(row) if a), None)
-        if pc is None:
-            continue
-        inv = row[pc]
-        row = [a / inv for a in row]
-        for k, (prow, pcol) in enumerate(out):
-            f = prow[pc]
-            if f:
-                out[k] = ([a - f * b for a, b in zip(prow, row)], pcol)
-        out.append((row, pc))
-    out.sort(key=lambda t: t[1])
-    return [r for r, _ in out]
-
-
-def _nullspace(reduced_rows, ncols):
-    """Kernel basis of a matrix already in reduced row echelon form."""
-    pivots = {}
-    for r in reduced_rows:
-        pc = next(c for c, a in enumerate(r) if a)
-        pivots[pc] = r
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, r in pivots.items():
-            v[pc] = -r[fc]
-        basis.append(v)
-    return basis

@@ -140,9 +140,10 @@ def build_tree(n: int, edges: Iterable[Sequence[int]]) -> TreeDiagram:
     """Validate and build a tree from (parent, child, weight) triples.
 
     Children 2..n must each occur exactly once, parents must be smaller
-    than their children, and weights must be positive.
+    than their children, and weights must be positive; all are ints, not bools.
     """
-    if not isinstance(n, int) or n < 1:
+    # type(...) is int, not isinstance: JSON true loads as bool, an int subclass
+    if type(n) is not int or n < 1:
         raise TreeValidationError(f"node count must be a positive integer, got {n}")
     parents = [0] * (n - 1)
     wts = [0] * (n - 1)
@@ -151,18 +152,18 @@ def build_tree(n: int, edges: Iterable[Sequence[int]]) -> TreeDiagram:
         if len(edge) != 3:
             raise TreeValidationError(f"edge {edge!r} must be (parent, child, weight)")
         p, c, w = edge
-        if not isinstance(c, int) or not 2 <= c <= n:
+        if type(c) is not int or not 2 <= c <= n:
             raise TreeValidationError(f"child node {c} out of range 2..{n}")
         if c in seen:
             raise TreeValidationError(f"duplicate child node {c}")
         seen.add(c)
-        if not isinstance(p, int) or not 1 <= p <= n:
+        if type(p) is not int or not 1 <= p <= n:
             raise TreeValidationError(f"parent {p} out of range for child node {c}")
         if p >= c:
             raise TreeValidationError(
                 f"parent {p} must be smaller than child node {c}"
             )
-        if not isinstance(w, int) or w < 1:
+        if type(w) is not int or w < 1:
             raise TreeValidationError(f"weight {w} on child node {c} must be >= 1")
         parents[c - 2] = p
         wts[c - 2] = w

@@ -2,6 +2,8 @@
 tree, all with at most 16 basis monomials in both directions so the
 downset oracle stays cheap."""
 
+from hypothesis import strategies as st
+
 from treelie import build_tree, chain, e_tree, star
 
 CORPUS = [
@@ -29,3 +31,14 @@ CORPUS_BY_NAME = dict(CORPUS)
 # heavier trees used by targeted tests (oracle still within its guard)
 WIDE_Y = e_tree(2, 2, 1, upper_tip_weight=2)  # 19 upward roots
 A3_14 = chain([1, 4])  # 18 upward roots
+
+
+@st.composite
+def small_trees(draw, max_nodes=5, max_weight=2):
+    """Random trees: each node's parent is any smaller node."""
+    n = draw(st.integers(1, max_nodes))
+    edges = [
+        (draw(st.integers(1, c - 1)), c, draw(st.integers(1, max_weight)))
+        for c in range(2, n + 1)
+    ]
+    return build_tree(n, edges)

@@ -154,6 +154,68 @@ class TestSolveHeat:
         assert len(rows) == 1 + 16
 
 
+    def test_csv_cells_are_plain_floats(self, tree_file, tmp_path, capsys):
+        path = tree_file("a2.json", chain([1]))
+        out_csv = str(tmp_path / "grid.csv")
+        code, _, _ = run(
+            [
+                "solve-heat", path,
+                "--orders", "2,2", "--f", "cos(pi*x2)",
+                "--box", "1,2", "--modes", "1", "--samples", "8",
+                "--eval", "0.1,0.0,0.0", "--csv", out_csv, "--csv-grid", "3",
+            ],
+            capsys,
+        )
+        assert code == 0
+        with open(out_csv) as fh:
+            rows = list(csv.reader(fh))[1:]
+        values = [[float(cell) for cell in row] for row in rows]
+        assert sorted({v[1] for v in values}) == [-1.0, 0.0, 1.0]
+        assert sorted({v[2] for v in values}) == [-2.0, 0.0, 2.0]
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestNonFiniteAndOverflow:
+    def test_infinite_result_is_an_error(self, tree_file, capsys):
+        path = tree_file("a2.json", chain([1]))
+        code, out, err = run(
+            ["solve-first", path, "--f", "exp(1000*x1)", "--t", "0.1", "--x", "1,1"],
+            capsys,
+        )
+        _assert_one_line_error(code, out, err)
+        assert "not JSON compliant" in err
+
+    def test_nan_time_is_an_error(self, tree_file, capsys):
+        path = tree_file("a2.json", chain([1]))
+        code, out, err = run(
+            ["solve-first", path, "--f", "x1", "--t", "nan", "--x", "1,1"], capsys
+        )
+        _assert_one_line_error(code, out, err)
+
+    def test_power_overflow_is_an_error(self, tree_file, capsys):
+        path = tree_file("a3.json", chain([1, 1]))
+        code, out, err = run(
+            ["solve-first", path, "--f", "x3^2^2^2^2^2", "--t", "0.1", "--x", "0,1,1"],
+            capsys,
+        )
+        _assert_one_line_error(code, out, err)
+        assert "OverflowError" in err
+
+    def test_deep_nesting_is_an_error(self, tree_file, capsys):
+        path = tree_file("a2.json", chain([1]))
+        deep = "(" * 2000 + "x1" + ")" * 2000
+        code, out, err = run(
+            ["solve-first", path, "--f", deep, "--t", "0.1", "--x", "1,1"], capsys
+        )
+        _assert_one_line_error(code, out, err)
+        assert "nested too deeply" in err
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(["info", "/nonexistent/tree.json"], capsys)

@@ -2,6 +2,8 @@
 and the bracket-based oracle."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treelie import (
     SizeGuardError,
@@ -15,9 +17,15 @@ from treelie import (
     principal_ideal,
     root_poset,
 )
-from treelie.ideals import _AlgebraData, count_admissible_pairs
+from treelie.ideals import ORACLE_GUARD, count_admissible_pairs
+from treelie.liealg import structure_table
 
-from .corpus import CORPUS, A3_14, WIDE_Y
+from .corpus import CORPUS, A3_14, WIDE_Y, small_trees
+
+
+def _members(mask):
+    """Basis indices of a structure-table bitmask."""
+    return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
 class TestRootPoset:
@@ -93,7 +101,7 @@ class TestPrincipalIdeal:
         # element; the principal downset must match exactly
         for _, t in CORPUS:
             for d in ("up", "down"):
-                data = _AlgebraData(t, d)
+                data = structure_table(t, d)
                 cls = classify_nodes(t)
                 ground = cls.upsilon if d == "up" else cls.phi
                 for i in ground:
@@ -105,7 +113,7 @@ class TestPrincipalIdeal:
                             vec[node - 1] = e
                         vec[i - 1] = -1
                         seed = data.index[tuple(vec)]
-                        closure = {data.roots[k] for k in data.closures[seed]}
+                        closure = {data.roots[k] for k in _members(data.closures[seed])}
                         assert ideal.roots == closure, (t, d, i, el)
 
 
@@ -140,7 +148,7 @@ class TestMaximalIdeals:
         # adding any further root vector breaks the abelian ideal property
         for _, t in CORPUS:
             for d in ("up", "down"):
-                data = _AlgebraData(t, d)
+                data = structure_table(t, d)
                 for ideal in maximal_ideals(t, d):
                     for extra in data.roots:
                         if extra in ideal.roots:
@@ -188,11 +196,11 @@ class TestEnumeration:
     def test_roots_form_reachability_downsets(self):
         for _, t in CORPUS:
             for d in ("up", "down"):
-                data = _AlgebraData(t, d)
+                data = structure_table(t, d)
                 for ideal in enumerate_ideals(t, d):
                     idxs = {data.index[r] for r in ideal.roots}
                     for a in idxs:
-                        assert data.closures[a] <= idxs
+                        assert _members(data.closures[a]) <= idxs
 
     def test_maximal_flags_match_maximal_ideals_upward(self):
         for _, t in CORPUS:
@@ -246,6 +254,24 @@ class TestEnumeration:
                             vec[r - 1] = -1
                             rebuilt.add(tuple(vec))
                 assert rebuilt == set(ideal.roots)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_trees(), st.sampled_from(["up", "down"]))
+    def test_counts_match_oracle_on_random_trees(self, tree, direction):
+        assume(len(structure_table(tree, direction).roots) <= ORACLE_GUARD)
+        count = enumerate_ideals(tree, direction, mode="count")
+        assert count == len(brute_force_ideals(tree, direction))
+        if direction == "up":
+            assert count == count_admissible_pairs(tree) + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_trees(), st.sampled_from(["up", "down"]))
+    def test_maximal_flags_match_inclusion_on_random_trees(self, tree, direction):
+        assume(len(structure_table(tree, direction).roots) <= ORACLE_GUARD)
+        ideals = enumerate_ideals(tree, direction)
+        for ideal in ideals:
+            larger = any(ideal.roots < other.roots for other in ideals)
+            assert ideal.maximal == (not larger), (tree, direction, ideal)
 
     def test_weighted_anchor_exclusion(self):
         # if an ideal holds a vector anchored at a node whose incoming edge

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treelie import (
@@ -19,7 +19,11 @@ from treelie import (
     roots,
     verify_structure,
 )
-from .corpus import CORPUS
+from .corpus import CORPUS, small_trees
+from .rref_oracle import rref_structure
+
+# largest algebra the dense rational elimination is run on (~0.2 s each)
+RREF_DIM = 40
 
 
 def _mono(n, exps, dvar, coeff=1):
@@ -206,6 +210,17 @@ class TestStructure:
             assert set(down.center_basis) == {
                 LieElement.monomial(t.n, 1, tuple(0 for _ in range(t.n)), 1)
             }
+
+    def test_matches_rref_on_corpus(self):
+        for _, t in CORPUS:
+            for d in ("up", "down"):
+                assert verify_structure(t, d) == rref_structure(t, d), (t, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_trees(), st.sampled_from(["up", "down"]))
+    def test_matches_rref_on_random_trees(self, tree, direction):
+        assume(len(enumerate_basis(tree, direction)) <= RREF_DIM)
+        assert verify_structure(tree, direction) == rref_structure(tree, direction)
 
     def test_multi_tip_trees_separate_the_two_algebras(self):
         for _, t in CORPUS:

@@ -44,6 +44,14 @@ class TestBuild:
         with pytest.raises(TreeValidationError, match="weight 0 on child node 2"):
             build_tree(2, [(1, 2, 0)])
 
+    def test_booleans_rejected(self):
+        edge = {"parent": 1, "child": 2, "weight": 1}
+        for key in ("parent", "child", "weight"):
+            with pytest.raises(TreeValidationError):
+                tree_from_dict({"n": 2, "edges": [{**edge, key: True}]})
+        with pytest.raises(TreeValidationError):
+            tree_from_dict({"n": True, "edges": []})
+
     def test_missing_child(self):
         with pytest.raises(TreeValidationError, match="missing child node 3"):
             build_tree(3, [(1, 2, 1)])
