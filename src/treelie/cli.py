@@ -20,6 +20,9 @@ from .errors import ExpressionError, SizeGuardError, TreeValidationError
 
 __all__ = ["main", "run_cli"]
 
+# desk-scale size guard of solve-heat --csv, checked before the solve
+MAX_CSV_ROWS = 1_000_000
+
 
 class _CliError(Exception):
     pass
@@ -202,6 +205,14 @@ def _cmd_solve_heat(ns) -> dict:
     point = _csv_floats(ns.eval_point)
     if len(point) != tree.n + 1:
         raise _CliError(f"--eval needs t plus {tree.n} coordinates")
+    if ns.modes < 0:
+        raise _CliError("--modes must be nonnegative")
+    if ns.csv_grid < 1:
+        raise _CliError("--csv-grid must be positive")
+    if ns.csv_path and ns.csv_grid ** tree.n > MAX_CSV_ROWS:
+        raise SizeGuardError(
+            f"{ns.csv_grid ** tree.n} CSV rows (grid^n) exceeds the guard of {MAX_CSV_ROWS}"
+        )
     t, x = point[0], point[1:]
     solution = heat.solve_heat(tree, orders, ns.f, box, ns.modes, ns.samples)
     check = heat.verify_modes(tree, orders)
@@ -217,25 +228,22 @@ def _cmd_solve_heat(ns) -> dict:
 
 
 def _dump_csv(solution: heat.HeatSolution, t: float, path: str, grid: int) -> None:
+    """grid^n rows on the closed box, last coordinate fastest."""
     n = solution.tree.n
     axes = [np.linspace(-a, a, grid) for a in solution.box]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i}" for i in range(1, n + 1)] + ["u"])
-        idx = [0] * n
-        while True:
-            x = [axes[d][idx[d]] for d in range(n)]
-            row = [t] + x + [solution(t, x)]
-            writer.writerow([repr(float(v)) for v in row])
-            d = n - 1
-            while d >= 0:
-                idx[d] += 1
-                if idx[d] < grid:
-                    break
-                idx[d] = 0
-                d -= 1
-            if d < 0:
-                break
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    values = solution(t, points)
+    cell = repr(float(t))
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"x{i}" for i in range(1, n + 1)] + ["u"])
+            writer.writerows(
+                [cell] + [repr(float(v)) for v in x] + [repr(float(u))]
+                for x, u in zip(points, values)
+            )
+    except OSError as exc:
+        raise _CliError(f"cannot write CSV {path}: {exc.strerror or exc}")
 
 
 _COMMANDS = {

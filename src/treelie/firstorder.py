@@ -152,19 +152,28 @@ def _vector_field(tree: TreeDiagram):
 
     def field(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
-        out[0] = 1.0
+        out[..., 0] = 1.0
         for k, (p, w) in enumerate(pw):
-            out[k + 1] = x[p - 1] ** w
+            out[..., k + 1] = x[..., p - 1] ** w
         return out
 
     return field
 
 
-def flow_rk4(tree: TreeDiagram, x0: Sequence[float], t: float, steps: int = RK4_STEPS) -> np.ndarray:
-    """Characteristic flow by fixed-step RK4, the numeric oracle."""
+def flow_rk4(tree: TreeDiagram, x0, t, steps: int = RK4_STEPS) -> np.ndarray:
+    """Characteristic flow by fixed-step RK4, the numeric oracle.
+
+    x0 is one start of shape (n,) with a scalar time t, or a batch of
+    starts of shape (samples, n) with one time per start, t of shape
+    (samples,); each start takes steps steps of size t/steps, and the
+    result has the shape of x0. The batch integrates every start in the
+    same array operations, with the arithmetic of one start at a time.
+    """
     field = _vector_field(tree)
     x = np.array(x0, dtype=float)
-    h = t / steps
+    h = np.asarray(t, dtype=float) / steps
+    if x.ndim == 2:
+        h = h.reshape(-1, 1)
     for _ in range(steps):
         k1 = field(x)
         k2 = field(x + 0.5 * h * k1)
@@ -213,17 +222,20 @@ def verify_first_order(
     if mode == "numeric":
         rng = rng or np.random.default_rng(20240817)
         family = eta_family(tree)
+        starts = np.empty((samples, tree.n))
+        times = np.empty(samples)
+        for s in range(samples):
+            starts[s] = rng.uniform(-1.0, 1.0, tree.n)
+            times[s] = rng.uniform(-1.0, 1.0)
+        numeric = flow_rk4(tree, starts, times)
         worst = 0.0
-        for _ in range(samples):
-            x0 = rng.uniform(-1.0, 1.0, tree.n)
-            t = rng.uniform(-1.0, 1.0)
+        for x0, t, flowed in zip(starts, times, numeric):
             env = {"t": t}
             env.update({f"x{i + 1}": x0[i] for i in range(tree.n)})
             exact = np.array(
                 [x0[i - 1] + family.eta[i].eval_float(env) for i in range(1, tree.n + 1)]
             )
-            numeric = flow_rk4(tree, x0, t)
-            worst = max(worst, float(np.max(np.abs(numeric - exact))))
+            worst = max(worst, float(np.max(np.abs(flowed - exact))))
         return FirstOrderReport(ok=worst <= FLOW_TOLERANCE, mode="numeric", max_error=worst)
     raise ValueError(f"mode must be 'exact' or 'numeric', got {mode!r}")
 

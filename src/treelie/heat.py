@@ -8,6 +8,12 @@ integrates (z_i + sum of the children's xi~)^{m_i} from 0 to t. The full
 exponent of a mode is E = xi~_1 + sum over i >= 2 of x_parent(i)*xi~_i
 with z_r replaced by 2*pi*k_r*sqrt(-1)/a_r; its real part is the growth
 exponent A and its imaginary part the phase shift B, both affine in x.
+
+Numerically every mode is handled at once: ``solve_heat`` builds one
+complex table of t-polynomial coefficients (node x mode x power of t),
+and ``HeatSolution`` evaluates it at t by one Horner pass, so a batch of
+P points costs one (modes x n) @ (n x P) product and one exp/cos/sin
+pass, done in chunks of at most EVAL_BLOCK mode-point entries.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Callable, Dict, Sequence, Tuple, Union
 import numpy as np
 
 from . import expressions
+from .errors import SizeGuardError
 from .polynomials import IMAG_UNIT, MultiPoly
 from .trees import TreeDiagram
 
@@ -35,7 +42,16 @@ __all__ = [
     "fourier_coefficients",
     "solve_heat",
     "verify_modes",
+    "MAX_MODES",
+    "MAX_QUADRATURE_POINTS",
 ]
+
+# mode-point entries per evaluation chunk: HeatSolution works on a few
+# float arrays of this size, whatever the number of points
+EVAL_BLOCK = 1 << 16
+# desk-scale size guards of solve_heat, checked from closed forms
+MAX_MODES = 10_000
+MAX_QUADRATURE_POINTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -78,38 +94,50 @@ class AffineForm:
     const: float
     coeffs: Tuple[float, ...]
 
-    def __call__(self, x: Sequence[float]) -> float:
-        return self.const + float(np.dot(self.coeffs, np.asarray(x, dtype=float)))
 
+def _mode_table(xi: XiFamily, waves: np.ndarray) -> np.ndarray:
+    """Complex t-polynomial coefficients of every node and mode at once.
 
-def _complex_exponent_parts(xi: XiFamily, kappa: Sequence[complex]):
-    """Per-node values xi~_i(t -> polynomial, z_r -> i*kappa_r) as numpy
-    polynomial coefficient arrays in t (index = power of t)."""
-    n = xi.tree.n
-    out = {}
-    for i in range(1, n + 1):
-        poly = xi.xi_tilde[i]
-        deg = 0
-        for exps in poly.terms:
-            ti = poly.variables.index("t") if "t" in poly.variables else None
-            deg = max(deg, exps[ti] if ti is not None else 0)
-        coeffs = np.zeros(deg + 1, dtype=complex)
+    waves holds one row 2*pi*k/box per mode. Entry [i - 1, m, p] is the
+    coefficient of t^p in xi~_i with z_r -> sqrt(-1)*waves[m, r - 1], so
+    node i's slice is its (modes x (deg + 1)) table, zero-padded up to the
+    highest t-degree of the family (every xi~ term carries a power of t).
+    """
+    z = 1j * waves
+    polys = [xi.xi_tilde[i] for i in range(1, xi.tree.n + 1)]
+    deg = max(exps[p.variables.index("t")] for p in polys for exps in p.terms)
+    table = np.zeros((len(polys), len(z), deg + 1), dtype=complex)
+    for node, poly in enumerate(polys):
         for exps, c in poly.terms.items():
-            val = complex(c)
-            tpow = 0
+            column = np.full(len(z), complex(c))
             for v, e in zip(poly.variables, exps):
                 if v == "t":
                     tpow = e
                 elif e:
-                    r = int(v[1:])
-                    val *= (1j * kappa[r - 1]) ** e
-            coeffs[tpow] += val
-        out[i] = coeffs
-    return out
+                    column *= z[:, int(v[1:]) - 1] ** e
+            table[node, :, tpow] += column
+    return table
 
 
-def _eval_tpoly(coeffs: np.ndarray, t: float) -> complex:
-    return complex(np.polyval(coeffs[::-1], t))
+def _exponent_parts(
+    table: np.ndarray, tree: TreeDiagram, t: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The complex exponent E = const + coeffs @ x of every mode at time t:
+    const has shape (modes,), coeffs (modes, n). One Horner pass over the
+    table, then each node i >= 2 lands on the x variable of its parent."""
+    values = table[:, :, -1]
+    for p in range(table.shape[2] - 2, -1, -1):
+        values = values * t + table[:, :, p]
+    coeffs = np.zeros(values.shape[::-1], dtype=complex)
+    for i in range(2, tree.n + 1):
+        coeffs[:, tree.parent(i) - 1] += values[i - 1]
+    return values[0], coeffs
+
+
+def _waves(ks, box: Sequence[float]) -> np.ndarray:
+    """2*pi*k_r/a_r, one row per frequency vector."""
+    ks = np.asarray(ks, dtype=float).reshape(-1, len(box))
+    return 2.0 * np.pi * ks / np.asarray(box, dtype=float)
 
 
 def mode_exponent(
@@ -122,14 +150,10 @@ def mode_exponent(
         raise ValueError(f"expected {n}-vectors for k and box")
     if any(a <= 0 for a in box):
         raise ValueError("box half-widths must be positive")
-    kappa = [2.0 * np.pi * k[i] / box[i] for i in range(n)]
-    parts = _complex_exponent_parts(xi, kappa)
-    const = _eval_tpoly(parts[1], t)
-    coeffs = np.zeros(n, dtype=complex)
-    for i in range(2, n + 1):
-        coeffs[xi.parent_factor[i] - 1] += _eval_tpoly(parts[i], t)
-    A = AffineForm(const.real, tuple(coeffs.real))
-    B = AffineForm(const.imag, tuple(coeffs.imag))
+    table = _mode_table(xi, _waves(k, box))
+    const, coeffs = _exponent_parts(table, xi.tree, t)
+    A = AffineForm(float(const[0].real), tuple(float(c) for c in coeffs[0].real))
+    B = AffineForm(float(const[0].imag), tuple(float(c) for c in coeffs[0].imag))
     return A, B
 
 
@@ -191,22 +215,26 @@ GridFunction = Union[str, expressions.ExprNode, Callable, np.ndarray]
 
 def _grid_values(f: GridFunction, box: Sequence[float], samples: int) -> np.ndarray:
     n = len(box)
+    shape = (samples,) * n
     if isinstance(f, np.ndarray):
-        if f.shape != (samples,) * n:
-            raise ValueError(f"gridded samples must have shape {(samples,) * n}")
+        if f.shape != shape:
+            raise ValueError(f"gridded samples must have shape {shape}")
         return np.asarray(f, dtype=float)
     axes = [(-a + 2.0 * a * np.arange(samples) / samples) for a in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
     if isinstance(f, str):
         f = expressions.parse_expression(f, n)
     if isinstance(f, (expressions.Num, expressions.Pi, expressions.Var,
                       expressions.Neg, expressions.BinOp, expressions.Call)):
-        values = expressions.evaluate(f, mesh)
-        return np.broadcast_to(np.asarray(values, dtype=float), mesh[0].shape).copy()
-    if callable(f):
-        values = f(*mesh)
-        return np.broadcast_to(np.asarray(values, dtype=float), mesh[0].shape).copy()
-    raise TypeError(f"unsupported initial data {type(f).__name__}")
+        # elementwise arithmetic broadcasts, so the sparse mesh gives the
+        # full mesh's values while intermediates keep only the axes they
+        # use; the samples^n array is made once, by the broadcast below
+        values = expressions.evaluate(f, np.meshgrid(*axes, indexing="ij", sparse=True))
+    elif callable(f):
+        # an arbitrary callable need not broadcast: it gets the full mesh
+        values = f(*np.meshgrid(*axes, indexing="ij"))
+    else:
+        raise TypeError(f"unsupported initial data {type(f).__name__}")
+    return np.broadcast_to(np.asarray(values, dtype=float), shape).copy()
 
 
 def fourier_coefficients(
@@ -235,55 +263,61 @@ def fourier_coefficients(
 
 @dataclass(frozen=True)
 class FourierMode:
-    """One mode: frequency vector, weighted coefficients, and the complex
-    t-polynomials (constant part and per-x-variable parts) that produce
-    the growth exponent A and phase shift B at any time."""
+    """One mode: frequency vector, cosine and sine coefficients b and c
+    (already scaled by the zero-component weight), and that weight."""
 
     k: Tuple[int, ...]
     b: float
     c: float
     weight: float
-    const_tpoly: np.ndarray
-    coeff_tpolys: Tuple[Tuple[int, np.ndarray], ...]  # (x index, poly)
-
-    def exponent(self, t: float) -> Tuple[AffineForm, AffineForm]:
-        const = _eval_tpoly(self.const_tpoly, t)
-        n = len(self.k)
-        coeffs = np.zeros(n, dtype=complex)
-        for j, poly in self.coeff_tpolys:
-            coeffs[j - 1] += _eval_tpoly(poly, t)
-        return (
-            AffineForm(const.real, tuple(coeffs.real)),
-            AffineForm(const.imag, tuple(coeffs.imag)),
-        )
-
-    def pair(self, t: float, x: Sequence[float], box: Sequence[float]):
-        """(phi, psi) values of the cosine and sine modes at (t, x)."""
-        A, B = self.exponent(t)
-        base = 2.0 * np.pi * sum(
-            kv * xv / av for kv, xv, av in zip(self.k, x, box)
-        )
-        growth = np.exp(A(x))
-        angle = base + B(x)
-        return growth * np.cos(angle), growth * np.sin(angle)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatSolution:
+    """The truncated mode sum u(t, x) = sum over modes of
+    exp(A(t, x)) * (b*cos(theta(t, x)) + c*sin(theta(t, x))), where A and
+    theta = 2*pi*k.x/box + B are affine in x.
+
+    table is the (n, modes, deg + 1) complex t-polynomial table of
+    ``_mode_table``; waves (modes, n) holds 2*pi*k/box and amplitudes
+    (2, modes) the b and c rows, in the order of ``modes``.
+    """
+
     tree: TreeDiagram
     orders: Tuple[int, ...]
     box: Tuple[float, ...]
     cutoff: int
     modes: Tuple[FourierMode, ...]
+    table: np.ndarray
+    waves: np.ndarray
+    amplitudes: np.ndarray
 
-    def __call__(self, t: float, x: Sequence[float]) -> float:
-        if len(x) != self.tree.n:
-            raise ValueError(f"expected {self.tree.n} coordinates, got {len(x)}")
-        total = 0.0
-        for mode in self.modes:
-            phi, psi = mode.pair(t, x, self.box)
-            total += mode.b * phi + mode.c * psi
-        return float(total)
+    def __call__(self, t: float, x) -> Union[float, np.ndarray]:
+        """u at one point x of shape (n,), returned as a float, or at a
+        batch of shape (P, n), returned as an array of P values.
+
+        The table is evaluated at t once per call; the points then go
+        through (modes x n) @ (n x chunk) products and one exp/cos/sin
+        pass, in chunks of at most EVAL_BLOCK mode-point entries, which
+        bounds the working memory whatever P is.
+        """
+        n = self.tree.n
+        points = np.asarray(x, dtype=float)
+        if points.ndim not in (1, 2) or points.shape[-1] != n:
+            raise ValueError(f"expected {n} coordinates, got shape {points.shape}")
+        batch = np.atleast_2d(points)
+        const, slopes = _exponent_parts(self.table, self.tree, t)
+        growth = slopes.real
+        phase = self.waves + slopes.imag
+        b, c = self.amplitudes
+        chunk = max(1, EVAL_BLOCK // max(1, len(self.modes)))
+        out = np.empty(len(batch))
+        for lo in range(0, len(batch), chunk):
+            block = batch[lo:lo + chunk].T
+            scale = np.exp(growth @ block + const.real[:, None])
+            angle = phase @ block + const.imag[:, None]
+            out[lo:lo + chunk] = b @ (scale * np.cos(angle)) + c @ (scale * np.sin(angle))
+        return float(out[0]) if points.ndim == 1 else out
 
     @property
     def modes_used(self) -> int:
@@ -302,34 +336,36 @@ def solve_heat(
 
     At t = 0 the sum reproduces the weighted trigonometric interpolant of
     f through the cutoff; each mode then evolves by its exact exponent.
+    Raises SizeGuardError when (cutoff+1)^n modes or samples^n quadrature
+    points exceed MAX_MODES or MAX_QUADRATURE_POINTS.
     """
     box = tuple(float(a) for a in box)
     if len(box) != tree.n or any(a <= 0 for a in box):
         raise ValueError("box must list one positive half-width per node")
+    # size guards from closed forms, before any polynomial or grid work
+    if (cutoff + 1) ** tree.n > MAX_MODES:
+        raise SizeGuardError(
+            f"{(cutoff + 1) ** tree.n} modes ((modes+1)^n) exceeds the guard of {MAX_MODES}"
+        )
+    if samples ** tree.n > MAX_QUADRATURE_POINTS:
+        raise SizeGuardError(
+            f"{samples ** tree.n} quadrature points (samples^n) exceeds the guard"
+            f" of {MAX_QUADRATURE_POINTS}"
+        )
     xi = xi_family(tree, orders)
     coeffs = fourier_coefficients(f, box, cutoff, samples)
-    modes = []
-    for k in sorted(coeffs):
-        b, c = coeffs[k]
-        kappa = [2.0 * np.pi * k[i] / box[i] for i in range(tree.n)]
-        parts = _complex_exponent_parts(xi, kappa)
-        coeff_polys = tuple(
-            (xi.parent_factor[i], parts[i]) for i in range(2, tree.n + 1)
-        )
-        modes.append(
-            FourierMode(
-                k=k,
-                b=b,
-                c=c,
-                weight=mode_weight(k),
-                const_tpoly=parts[1],
-                coeff_tpolys=coeff_polys,
-            )
-        )
+    ks = sorted(coeffs)
+    modes = tuple(
+        FourierMode(k=k, b=coeffs[k][0], c=coeffs[k][1], weight=mode_weight(k)) for k in ks
+    )
+    waves = _waves(ks, box)
     return HeatSolution(
         tree=tree,
         orders=tuple(int(m) for m in orders),
         box=box,
         cutoff=cutoff,
-        modes=tuple(modes),
+        modes=modes,
+        table=_mode_table(xi, waves),
+        waves=waves,
+        amplitudes=np.array([[m.b for m in modes], [m.c for m in modes]]),
     )

@@ -38,7 +38,7 @@ from treelie import (
 )
 from treelie.cli import main as cli_main
 from treelie.firstorder import bch_coefficient_nested_sum, bch_coefficients
-from treelie.heat import _complex_exponent_parts, _eval_tpoly
+from treelie.heat import _exponent_parts, _mode_table, _waves
 from treelie.liealg import LieElement
 from treelie.polynomials import MultiPoly
 
@@ -220,12 +220,11 @@ def test_criterion_09_heat_solver():
     # sixth-order truncation against rounding in the stencil sums
     h = 1e-4
     for k in product(range(3), repeat=2):
-        parts = _complex_exponent_parts(
-            xi, [2 * np.pi * k[0] / box[0], 2 * np.pi * k[1] / box[1]]
-        )
+        table = _mode_table(xi, _waves(k, box))
 
         def phi(tv, xv):
-            e = _eval_tpoly(parts[1], tv) + xv[0] * _eval_tpoly(parts[2], tv)
+            const, coeffs = _exponent_parts(table, xi.tree, tv)
+            e = const[0] + xv[0] * coeffs[0, 0]
             theta = 2 * np.pi * (k[0] * xv[0] / box[0] + k[1] * xv[1] / box[1])
             return math.exp(e.real) * math.cos(theta + e.imag)
 

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from treelie import chain, tree_to_dict
-from treelie.cli import main
+from treelie import chain, heat, tree_to_dict
+from treelie.cli import MAX_CSV_ROWS, main
+from treelie.heat import MAX_MODES, MAX_QUADRATURE_POINTS
 
 
 @pytest.fixture()
@@ -247,3 +248,75 @@ class TestExitCodes:
         path = tree_file("big.json", chain([3, 3]))
         code, _, err = run(["ideals", path, "--direction", "up"], capsys)
         assert code == 2 and "guard" in err
+
+
+def _heat_argv(path, **flags):
+    argv = {
+        "--orders": "2,2", "--f": "cos(pi*x1)", "--box": "1,1", "--modes": "2",
+        "--samples": "16", "--eval": "0.05,0.1,0.2",
+    }
+    argv.update({f"--{k.replace('_', '-')}": v for k, v in flags.items()})
+    return ["solve-heat", path] + [part for item in argv.items() for part in item]
+
+
+class TestSolveHeatInputs:
+    def test_zero_csv_grid_is_an_error(self, tree_file, tmp_path, capsys):
+        path = tree_file("a2.json", chain([1]))
+        code, out, err = run(
+            _heat_argv(path, csv=str(tmp_path / "g.csv"), csv_grid="0"), capsys
+        )
+        _assert_one_line_error(code, out, err)
+        assert "--csv-grid" in err
+
+    def test_unwritable_csv_path_is_an_error(self, tree_file, tmp_path, capsys):
+        path = tree_file("a2.json", chain([1]))
+        target = str(tmp_path / "missing" / "g.csv")
+        code, out, err = run(_heat_argv(path, csv=target), capsys)
+        _assert_one_line_error(code, out, err)
+        assert target in err
+
+    def test_negative_modes_is_an_error(self, tree_file, capsys):
+        path = tree_file("a2.json", chain([1]))
+        code, out, err = run(_heat_argv(path, modes="-1"), capsys)
+        _assert_one_line_error(code, out, err)
+        assert "--modes" in err
+
+
+class TestSolveHeatGuards:
+    """Each guard trips on its closed form before any solver work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver work started before the size guard")
+
+        for name in ("xi_family", "fourier_coefficients", "verify_modes"):
+            monkeypatch.setattr(heat, name, refuse)
+
+    def _guarded(self, argv, capsys, quantity, limit):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("size guard: ") and err.count("\n") == 1
+        assert quantity in err and str(limit) in err
+
+    def test_csv_rows(self, tree_file, tmp_path, capsys):
+        path = tree_file("a4.json", chain([1, 1, 1]))
+        grid = 32  # 32^4 rows, just past the guard
+        argv = _heat_argv(path, orders="2,2,2,2", box="1,1,1,1", eval="0.05,0,0,0,0",
+                          csv=str(tmp_path / "g.csv"), csv_grid=str(grid))
+        self._guarded(argv, capsys, "CSV rows (grid^n)", MAX_CSV_ROWS)
+        assert grid ** 4 > MAX_CSV_ROWS >= 216
+
+    def test_quadrature_points(self, tree_file, capsys):
+        path = tree_file("a4.json", chain([1, 1, 1]))
+        argv = _heat_argv(path, orders="2,2,2,2", box="1,1,1,1", eval="0.05,0,0,0,0",
+                          modes="1", samples="64")
+        self._guarded(argv, capsys, "quadrature points (samples^n)", MAX_QUADRATURE_POINTS)
+        assert 64 ** 4 > MAX_QUADRATURE_POINTS >= 32 ** 4
+
+    def test_modes(self, tree_file, capsys):
+        path = tree_file("a4.json", chain([1, 1, 1]))
+        argv = _heat_argv(path, orders="2,2,2,2", box="1,1,1,1", eval="0.05,0,0,0,0",
+                          modes="10", samples="64")
+        self._guarded(argv, capsys, "modes ((modes+1)^n)", MAX_MODES)
+        assert 11 ** 4 > MAX_MODES >= 625

@@ -152,6 +152,17 @@ class TestVerifyNumeric:
         expected = np.array([x0[0] + t, x0[1] + x0[0] * t + t * t / 2])
         assert np.max(np.abs(flow - expected)) <= 1e-6
 
+    def test_batch_matches_per_start_calls(self):
+        rng = np.random.default_rng(7)
+        for name in ("A2_3", "A4_121", "star3_w2", "single"):
+            tree = dict(CORPUS)[name]
+            starts = rng.uniform(-1.0, 1.0, (12, tree.n))
+            times = rng.uniform(-1.0, 1.0, 12)
+            batch = flow_rk4(tree, starts, times, steps=200)
+            assert batch.shape == starts.shape
+            for x0, t, got in zip(starts, times, batch):
+                assert np.max(np.abs(got - flow_rk4(tree, x0, t, steps=200))) <= 1e-14, name
+
     def test_corpus_flows(self):
         for name in ("A2_3", "A3_12", "A4_121", "E3_11", "star3_w2"):
             tree = dict(CORPUS)[name]
