@@ -317,7 +317,10 @@ def evaluate(node: ExprNode, values: Sequence[float]):
             return a * b
         if node.op == "/":
             return a / b
-        return a ** b
+        power = a ** b
+        # a negative float to a fractional power is complex in Python;
+        # numpy arrays give NaN there, and so do constants
+        return math.nan if isinstance(power, complex) else power
     raise TypeError(f"unknown node {node!r}")
 
 

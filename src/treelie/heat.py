@@ -18,6 +18,7 @@ pass, done in chunks of at most EVAL_BLOCK mode-point entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Dict, Sequence, Tuple, Union
@@ -148,7 +149,7 @@ def mode_exponent(
     n = xi.tree.n
     if len(k) != n or len(box) != n:
         raise ValueError(f"expected {n}-vectors for k and box")
-    if any(a <= 0 for a in box):
+    if not all(0 < a < math.inf for a in box):
         raise ValueError("box half-widths must be positive")
     table = _mode_table(xi, _waves(k, box))
     const, coeffs = _exponent_parts(table, xi.tree, t)
@@ -263,13 +264,12 @@ def fourier_coefficients(
 
 @dataclass(frozen=True)
 class FourierMode:
-    """One mode: frequency vector, cosine and sine coefficients b and c
-    (already scaled by the zero-component weight), and that weight."""
+    """One mode: frequency vector and cosine and sine coefficients b and c,
+    already scaled by the zero-component weight."""
 
     k: Tuple[int, ...]
     b: float
     c: float
-    weight: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +286,6 @@ class HeatSolution:
     tree: TreeDiagram
     orders: Tuple[int, ...]
     box: Tuple[float, ...]
-    cutoff: int
     modes: Tuple[FourierMode, ...]
     table: np.ndarray
     waves: np.ndarray
@@ -340,7 +339,7 @@ def solve_heat(
     points exceed MAX_MODES or MAX_QUADRATURE_POINTS.
     """
     box = tuple(float(a) for a in box)
-    if len(box) != tree.n or any(a <= 0 for a in box):
+    if len(box) != tree.n or not all(0 < a < math.inf for a in box):
         raise ValueError("box must list one positive half-width per node")
     # size guards from closed forms, before any polynomial or grid work
     if (cutoff + 1) ** tree.n > MAX_MODES:
@@ -356,14 +355,13 @@ def solve_heat(
     coeffs = fourier_coefficients(f, box, cutoff, samples)
     ks = sorted(coeffs)
     modes = tuple(
-        FourierMode(k=k, b=coeffs[k][0], c=coeffs[k][1], weight=mode_weight(k)) for k in ks
+        FourierMode(k=k, b=coeffs[k][0], c=coeffs[k][1]) for k in ks
     )
     waves = _waves(ks, box)
     return HeatSolution(
         tree=tree,
         orders=tuple(int(m) for m in orders),
         box=box,
-        cutoff=cutoff,
         modes=modes,
         table=_mode_table(xi, waves),
         waves=waves,

@@ -5,7 +5,11 @@ Ideals are recorded as root sets: each basis monomial x^a d/dx_j is the
 unique vector for the integer root (a with -1 in slot j), and every
 abelian ideal is a sum of such one-dimensional root spaces. Upward,
 ideals are built from generator data: an independent anchor set plus,
-per anchor, an assignment of antichains in its poset. They are counted
+per anchor, an assignment of antichains in its poset. Each poset holds
+the node's exponent lattice (``liealg.node_lattice``) with its order
+stored once as bitmasks, and one bitmask recursion (``_antichains``)
+yields both the antichains of a poset and the anchor sets, which are the
+antichains of the ground nodes under ancestry. Ideals are counted
 without being built, by a product over the tree of the assignment counts
 at each possible anchor. Downward, and in the oracle for both directions,
 ideals are the downsets of the bracket-reachability preorder of
@@ -16,15 +20,17 @@ bitmask search that counts them or records them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product as iproduct
 from math import prod
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from operator import le, or_
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import SizeGuardError
-from .liealg import StructureTable, _bits, lattice_points, structure_table
+from .liealg import StructureTable, _bits, node_lattice, structure_table
 # perfbench's tracer test checks that its wrappers reach this binding too
 from .liealg import enumerate_basis  # noqa: F401
-from .trees import TreeDiagram, classify_nodes, weights
+from .trees import NodeClassification, TreeDiagram, classify_nodes
 
 __all__ = [
     "RootPoset",
@@ -54,47 +60,50 @@ class RootPoset:
     order compares the clan-weighted cumulative sums. Downward, they run
     over the descendants of the node and the order compares, per
     descendant m, the weighted sums along the path from the node to m.
-    The stored values vectors realize the order: a <= b exactly when the
-    value vector of a is componentwise <= that of b.
+    The order is stored once, as bitmasks over element indices:
+    ``below[k]`` holds the elements <= element k, ``above[k]`` those >= it.
     """
 
     node: int
     direction: str
     support: Tuple[int, ...]
     elements: Tuple[Tuple[int, ...], ...]
-    values: Tuple[Tuple[int, ...], ...]
+    below: Tuple[int, ...]
+    above: Tuple[int, ...]
     _index: Dict[Tuple[int, ...], int] = field(hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self._index.update({e: i for i, e in enumerate(self.elements)})
 
     def leq(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-        va = self.values[self._index[a]]
-        vb = self.values[self._index[b]]
-        return all(x <= y for x, y in zip(va, vb))
+        return bool(self.below[self._index[b]] >> self._index[a] & 1)
 
     def downset(self, tops: Iterable[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], ...]:
-        tops = list(tops)
-        return tuple(e for e in self.elements if any(self.leq(e, t) for t in tops))
+        mask = 0
+        for t in tops:
+            mask |= self.below[self._index[t]]
+        return tuple(self.elements[k] for k in _bits(mask))
 
     def antichains(self) -> List[Tuple[Tuple[int, ...], ...]]:
         """All antichains, the empty one included, in canonical order."""
-        els = self.elements
-        out: List[Tuple[Tuple[int, ...], ...]] = []
+        comparable = [b | a for b, a in zip(self.below, self.above)]
+        return [tuple(self.elements[k] for k in c) for c in _antichains(comparable)]
 
-        def rec(start, chosen):
-            out.append(tuple(chosen))
-            for k in range(start, len(els)):
-                e = els[k]
-                if all(
-                    not self.leq(e, c) and not self.leq(c, e) for c in chosen
-                ):
-                    chosen.append(e)
-                    rec(k + 1, chosen)
-                    chosen.pop()
 
-        rec(0, [])
-        return out
+def _antichains(comparable: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Every antichain of the indices 0..len-1, as ascending tuples in
+    depth-first order, the empty one first. ``comparable[k]`` is the
+    bitmask of the indices related to k, k itself included."""
+    out: List[Tuple[int, ...]] = []
+
+    def rec(start, chosen, blocked):
+        out.append(chosen)
+        for k in range(start, len(comparable)):
+            if not blocked >> k & 1:
+                rec(k + 1, chosen + (k,), blocked | comparable[k])
+
+    rec(0, (), 0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,62 +134,67 @@ class AbelianIdeal:
 
 
 def root_poset(tree: TreeDiagram, i: int, direction: str) -> RootPoset:
-    """Exponent poset of one node; the zero tuple is the unique minimum."""
+    """Exponent poset of one node; the zero tuple is the unique minimum.
+
+    Each element's value vector comes from one recursion: upward
+    v_s = e_s + w(path[s+1]) * v_{s+1} toward the root along the clan
+    path, downward v(m) = e(m) + w(m) * v(parent m) with v(i) = 0.
+    """
+    support, elements = node_lattice(tree, i, direction)
+    # (k, link, w): value k gains w times value link, links updated first
     if direction == "up":
         path = tree.clan(i)
-        support = path[:-1]
-        ws = [tree.weight(q) for q in path[1:]]
-        coefs = [prod(ws[:s]) for s in range(len(ws))]
-        elements = lattice_points(coefs, prod(ws))
-        values = []
-        for el in elements:
-            vals = []
-            for s in range(len(ws)):
-                vals.append(
-                    el[s] + sum(el[e] * prod(ws[s: e]) for e in range(s + 1, len(ws)))
-                )
-            values.append(tuple(vals))
-    elif direction == "down":
-        desc = tree.descendants(i)
-        support = desc
-        data = weights(tree, i)
-        coefs = [data.kappa_map[s] for s in desc]
-        elements = lattice_points(coefs, data.kappa)
-        pos = {s: k for k, s in enumerate(desc)}
-        paths = {}
-        for m in desc:
-            path = []
-            q = m
-            while q != i:
-                path.append(q)
-                q = tree.parent(q)
-            paths[m] = path  # nodes from m up to, not including, i
-        values = []
-        for el in elements:
-            vals = []
-            for m in desc:
-                total = 0
-                for r in paths[m]:
-                    total += el[pos[r]] * tree.path_weight(r, m)
-                vals.append(total)
-            values.append(tuple(vals))
+        steps = [(s, s + 1, tree.weight(path[s + 1])) for s in reversed(range(len(path) - 2))]
     else:
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+        pos = {m: k for k, m in enumerate(support)}
+        steps = [
+            (k, pos[tree.parent(m)], tree.weight(m))
+            for k, m in enumerate(support)
+            if tree.parent(m) != i
+        ]
+    values = []
+    for el in elements:
+        vals = list(el)
+        for k, link, w in steps:
+            vals[k] += w * vals[link]
+        values.append(vals)
+    below = tuple(
+        sum(1 << j for j, u in enumerate(values) if all(map(le, u, v))) for v in values
+    )
+    above = tuple(
+        sum(1 << j for j, b in enumerate(below) if b >> k & 1) for k in range(len(below))
+    )
     return RootPoset(
         node=i,
         direction=direction,
         support=tuple(support),
         elements=tuple(elements),
-        values=tuple(values),
+        below=below,
+        above=above,
     )
 
 
-def _element_root(support: Sequence[int], element: Sequence[int], anchor: int, n: int) -> Root:
-    vec = [0] * n
-    for node, e in zip(support, element):
-        vec[node - 1] = e
-    vec[anchor - 1] = -1
-    return tuple(vec)
+def _anchors(cls: NodeClassification, i: int, direction: str) -> Tuple[int, ...]:
+    """Nodes whose derivatives a generator at node i reaches: i and its
+    descendants upward, the clan of i downward."""
+    return (i,) + cls.descendants[i] if direction == "up" else cls.clans[i]
+
+
+def _anchored_roots(
+    poset: RootPoset, elements: Iterable[Tuple[int, ...]], anchors: Iterable[int], n: int
+) -> Set[Root]:
+    """Roots of the monomials x^el d/dx_m for every el in elements and m
+    in anchors; anchors and the poset support are disjoint."""
+    out = set()
+    for el in elements:
+        vec = [0] * n
+        for node, e in zip(poset.support, el):
+            vec[node - 1] = e
+        for m in anchors:
+            root = vec.copy()
+            root[m - 1] = -1
+            out.add(tuple(root))
+    return out
 
 
 # ---------------------------------------------------------- downset search
@@ -229,17 +243,12 @@ def principal_ideal(tree: TreeDiagram, i: int, j: Tuple[int, ...], direction: st
     j = tuple(j)
     if j not in poset._index:
         raise ValueError(f"exponent tuple {j} is not in the poset of node {i}")
-    if direction == "up":
-        if i not in cls.upsilon:
-            raise ValueError(f"node {i} has a descendant below a weighted edge")
-        anchors = (i,) + cls.descendants[i]
-    else:
-        if i not in cls.phi:
-            raise ValueError(f"node {i} sits below a weighted edge")
-        anchors = cls.clans[i]
-    down = poset.downset([j])
+    if direction == "up" and i not in cls.upsilon:
+        raise ValueError(f"node {i} has a descendant below a weighted edge")
+    if direction == "down" and i not in cls.phi:
+        raise ValueError(f"node {i} sits below a weighted edge")
     roots = frozenset(
-        _element_root(poset.support, el, m, tree.n) for el in down for m in anchors
+        _anchored_roots(poset, poset.downset([j]), _anchors(cls, i, direction), tree.n)
     )
     ideal = AbelianIdeal(roots=roots)
     ok, cert = is_abelian_ideal(tree, direction, roots)
@@ -248,23 +257,21 @@ def principal_ideal(tree: TreeDiagram, i: int, j: Tuple[int, ...], direction: st
     return ideal
 
 
+def _ancestry(tree: TreeDiagram, ground: Sequence[int]) -> List[int]:
+    """Per position a in ground, the bitmask of the positions b whose node
+    lies on one root path with ground[a] (a itself included)."""
+    clans = [set(tree.clan(i)) for i in ground]
+    return [
+        sum(1 << b for b, j in enumerate(ground) if i in clans[b] or j in clans[a])
+        for a, i in enumerate(ground)
+    ]
+
+
 def _independent_subsets(tree: TreeDiagram, ground: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Subsets of ground in which no member descends from another."""
+    """Subsets of ground in which no member descends from another: the
+    antichains of ground under ancestry."""
     ground = sorted(ground)
-    desc = {i: set(tree.descendants(i)) for i in ground}
-    out: List[Tuple[int, ...]] = []
-
-    def rec(start, chosen):
-        out.append(tuple(chosen))
-        for k in range(start, len(ground)):
-            i = ground[k]
-            if all(i not in desc[c] for c in chosen):
-                chosen.append(i)
-                rec(k + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return out
+    return [tuple(ground[k] for k in c) for c in _antichains(_ancestry(tree, ground))]
 
 
 def maximal_ideals(tree: TreeDiagram, direction: str) -> List[AbelianIdeal]:
@@ -280,36 +287,25 @@ def maximal_ideals(tree: TreeDiagram, direction: str) -> List[AbelianIdeal]:
     """
     cls = classify_nodes(tree)
     ground = cls.upsilon if direction == "up" else cls.phi
-    subsets = [s for s in _independent_subsets(tree, ground) if s]
-    desc = {i: set(tree.descendants(i)) for i in ground}
-
-    def is_maximal(s):
-        chosen = set(s)
-        for u in ground:
-            if u in chosen:
-                continue
-            if all(u not in desc[c] and c not in desc[u] for c in s):
-                return False
-        return True
-
+    related = _ancestry(tree, ground)
+    full = (1 << len(ground)) - 1
     candidates = []
-    for s in subsets:
-        if not is_maximal(s):
+    for chosen in _antichains(related)[1:]:
+        # maximal: every ground node is related to some chosen node
+        if reduce(or_, (related[k] for k in chosen)) != full:
             continue
         roots = set()
-        for i in s:
+        for k in chosen:
+            i = ground[k]
             poset = root_poset(tree, i, direction)
-            anchors = (
-                (i,) + cls.descendants[i] if direction == "up" else cls.clans[i]
-            )
-            for el in poset.elements:
-                for m in anchors:
-                    roots.add(_element_root(poset.support, el, m, tree.n))
-        candidates.append((s, frozenset(roots)))
-    keep = []
-    for s, roots in candidates:
-        if not any(roots < other for _, other in candidates):
-            keep.append(AbelianIdeal(roots=roots, maximal=True))
+            anchors = _anchors(cls, i, direction)
+            roots |= _anchored_roots(poset, poset.elements, anchors, tree.n)
+        candidates.append(frozenset(roots))
+    keep = [
+        AbelianIdeal(roots=roots, maximal=True)
+        for roots in candidates
+        if not any(roots < other for other in candidates)
+    ]
     keep.sort(key=lambda ideal: ideal.canonical())
     return keep
 
@@ -324,14 +320,10 @@ def _anchor_assignments(tree: TreeDiagram, poset: RootPoset, nodes: Sequence[int
     anchor = poset.node
     parent = {r: tree.parent(r) for r in nodes if r != anchor}
     chains = poset.antichains()
-    # elements as bits: each antichain's entries, and the elements lying
+    # each antichain's entries as element bits, and the elements lying
     # above some entry (an ancestor entry there would conflict)
-    bit = {e: 1 << k for k, e in enumerate(poset.elements)}
-    entries = [sum(bit[e] for e in k) for k in chains]
-    above = [
-        sum(bit[e] for e in poset.elements if any(poset.leq(ll, e) for ll in k))
-        for k in chains
-    ]
+    entries = [sum(1 << poset._index[e] for e in k) for k in chains]
+    above = [reduce(or_, (poset.above[k] for k in _bits(m)), 0) for m in entries]
     nonempty = [c for c, k in enumerate(chains) if k]
     assigns: List[Dict[int, Tuple]] = []
     current: Dict[int, Tuple] = {}
@@ -366,21 +358,19 @@ def _up_admissible(tree: TreeDiagram):
     cls = classify_nodes(tree)
     posets = {i: root_poset(tree, i, "up") for i in cls.upsilon}
     assignments = {
-        i: _anchor_assignments(tree, posets[i], (i,) + cls.descendants[i])
+        i: _anchor_assignments(tree, posets[i], _anchors(cls, i, "up"))
         for i in cls.upsilon
     }
 
     def materialize(i, assignment):
         poset = posets[i]
-        nodes = (i,) + cls.descendants[i]
         pis: Dict[int, set] = {}
         roots = set()
-        for r in nodes:
+        for r in _anchors(cls, i, "up"):
             base = set() if r == i else set(pis[tree.parent(r)])
             base.update(poset.downset(assignment[r]))
             pis[r] = base
-            for el in base:
-                roots.add(_element_root(poset.support, el, r, tree.n))
+            roots |= _anchored_roots(poset, base, (r,), tree.n)
         return roots
 
     anchor_sets = [s for s in _independent_subsets(tree, cls.upsilon) if s]
@@ -415,7 +405,7 @@ def _count_up(tree: TreeDiagram) -> int:
         ways = prod(total[c] for c in cls.children[v])
         if v in upsilon:
             poset = root_poset(tree, v, "up")
-            ways += len(_anchor_assignments(tree, poset, (v,) + cls.descendants[v]))
+            ways += len(_anchor_assignments(tree, poset, _anchors(cls, v, "up")))
         total[v] = ways
     return total[1]
 
@@ -441,38 +431,34 @@ def enumerate_ideals(tree: TreeDiagram, direction: str, mode: str = "list"):
             f"{len(table.roots)} roots exceeds the list-mode guard of {LIST_GUARD};"
             " use count mode or the closed-form counts"
         )
+    # (member bitmask, roots, generator pair) per ideal
     if direction == "up":
-        seen: Dict[FrozenSet[Root], AbelianIdeal] = {}
-        zero = AbelianIdeal(roots=frozenset())
-        seen[zero.roots] = zero
+        pairs: Dict[FrozenSet[Root], Optional[AdmissiblePair]] = {frozenset(): None}
         for roots, pair in _up_admissible(tree):
-            if roots not in seen:
-                seen[roots] = AbelianIdeal(roots=roots, generator_pair=pair)
-        ideals = list(seen.values())
-    else:
-        found: List[int] = []
-        _abelian_downsets(table, found)
-        ideals = [
-            AbelianIdeal(roots=frozenset(table.roots[k] for k in _bits(mask)))
-            for mask in found
+            pairs.setdefault(roots, pair)
+        found = [
+            (sum(1 << table.index[r] for r in roots), roots, pair) for roots, pair in pairs.items()
         ]
-    ideals.sort(key=lambda ideal: (ideal.dim, ideal.canonical()))
+    else:
+        masks: List[int] = []
+        _abelian_downsets(table, masks)
+        found = [(m, frozenset(table.roots[k] for k in _bits(m)), None) for m in masks]
     # an abelian ideal I is maximal unless some index r outside it has an
     # abelian closure commuting with I: I plus that closure is then a larger
     # abelian ideal, and every larger one contains such a closure
     closures, commute = table.closures, table.commute
     joinable = [not any(c & ~commute[k] for k in _bits(c)) for c in closures]
-    flagged = []
-    for i in ideals:
-        members = sum(1 << table.index[r] for r in i.roots)
+    ideals = []
+    for members, roots, pair in found:
         common = (1 << len(closures)) - 1
         for k in _bits(members):
             common &= commute[k]
         maximal = not any(
             joinable[r] and not closures[r] & ~common for r in _bits(common & ~members)
         )
-        flagged.append(AbelianIdeal(roots=i.roots, maximal=maximal, generator_pair=i.generator_pair))
-    return flagged
+        ideals.append(AbelianIdeal(roots=roots, maximal=maximal, generator_pair=pair))
+    ideals.sort(key=lambda ideal: (ideal.dim, ideal.canonical()))
+    return ideals
 
 
 def count_admissible_pairs(tree: TreeDiagram) -> int:

@@ -93,14 +93,6 @@ class LieElement:
     def monomial(cls, n: int, coeff, exps: Sequence[int], dvar: int) -> "LieElement":
         return cls(n, {(tuple(exps), dvar): Fraction(coeff)})
 
-    @classmethod
-    def from_monomials(cls, n: int, monos: Sequence[DiffOpMonomial]) -> "LieElement":
-        acc = {}
-        for m in monos:
-            key = (m.exps, m.dvar)
-            acc[key] = acc.get(key, Fraction(0)) + m.coeff
-        return cls(n, acc)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -171,20 +163,25 @@ def lattice_points(coefs: Sequence[int], bound: int) -> List[Tuple[int, ...]]:
     return points
 
 
-def _up_node_elements(tree: TreeDiagram, i: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples over the proper clan prefix of node i."""
-    path = tree.clan(i)
-    ws = [tree.weight(q) for q in path[1:]]
-    coefs = [prod(ws[:s]) for s in range(len(ws))]
-    return lattice_points(coefs, prod(ws))
+def node_lattice(
+    tree: TreeDiagram, i: int, direction: str
+) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
+    """The nodes and exponent tuples of the basis monomials x^j d/dx_i at
+    node i, as (support, elements) with elements in ``lattice_points``
+    order.
 
-
-def _down_node_elements(tree: TreeDiagram, i: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples over the descendants of node i (ascending order)."""
+    Upward, j runs over the proper clan prefix of i inside the
+    clan-weighted simplex; downward, over the descendants of i (ascending)
+    inside the subtree-weighted simplex.
+    """
+    _check_direction(direction)
+    if direction == "up":
+        path = tree.clan(i)
+        ws = [tree.weight(q) for q in path[1:]]
+        return path[:-1], lattice_points([prod(ws[:s]) for s in range(len(ws))], prod(ws))
     data = weights(tree, i)
     desc = tree.descendants(i)
-    coefs = [data.kappa_map[s] for s in desc]
-    return lattice_points(coefs, data.kappa)
+    return desc, lattice_points([data.kappa_map[s] for s in desc], data.kappa)
 
 
 def enumerate_basis(tree: TreeDiagram, direction: str) -> List[DiffOpMonomial]:
@@ -195,16 +192,10 @@ def enumerate_basis(tree: TreeDiagram, direction: str) -> List[DiffOpMonomial]:
     x^j d/dx_i with j over the descendants of i inside the subtree-weighted
     simplex, which leaves exactly the plain derivatives at the tips.
     """
-    _check_direction(direction)
     out: List[DiffOpMonomial] = []
     one = Fraction(1)
     for i in range(1, tree.n + 1):
-        if direction == "up":
-            support = tree.clan(i)[:-1]
-            elements = _up_node_elements(tree, i)
-        else:
-            support = tree.descendants(i)
-            elements = _down_node_elements(tree, i)
+        support, elements = node_lattice(tree, i, direction)
         for el in elements:
             exps = [0] * tree.n
             for node, e in zip(support, el):

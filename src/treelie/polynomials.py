@@ -190,9 +190,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def canonical_terms(self):
         """Terms ordered by total degree, then descending exponent order."""
         return sorted(

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from treelie import chain, heat, tree_to_dict
-from treelie.cli import MAX_CSV_ROWS, main
+from treelie import chain, firstorder, heat, tree_to_dict
+from treelie.cli import MAX_BCH_K, MAX_CSV_ROWS, main
 from treelie.heat import MAX_MODES, MAX_QUADRATURE_POINTS
 
 
@@ -86,6 +86,17 @@ class TestBch:
     def test_negative_order(self, capsys):
         code, _, err = run(["bch", "--k", "-2"], capsys)
         assert code == 1 and "nonnegative" in err
+
+    def test_order_guard_before_any_work(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work started before the size guard")
+
+        monkeypatch.setattr(firstorder, "bch_coefficients", refuse)
+        code, out, err = run(["bch", "--k", str(MAX_BCH_K + 1)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("size guard: ") and err.count("\n") == 1
+        assert "--k" in err and str(MAX_BCH_K) in err
+        assert 80 < MAX_BCH_K < 1400
 
 
 class TestSolveFirst:
@@ -207,6 +218,25 @@ class TestNonFiniteAndOverflow:
         _assert_one_line_error(code, out, err)
         assert "OverflowError" in err
 
+    @pytest.mark.parametrize("command", ["solve-first", "solve-heat"])
+    @pytest.mark.parametrize(
+        "f, message",
+        [("1/0", "ZeroDivisionError"), ("0^-1", "ZeroDivisionError"),
+         ("(0-1)^0.5", "not JSON compliant")],
+    )
+    def test_constant_arithmetic_is_an_error(self, tree_file, capsys, command, f, message):
+        # constants are Python floats: division by zero raises, and a
+        # fractional power of a negative number gives NaN as numpy does
+        path = tree_file("a3.json", chain([1, 1]))
+        if command == "solve-first":
+            argv = ["solve-first", path, "--f", f, "--t", "1", "--x", "0,0,0"]
+        else:
+            argv = _heat_argv(path, orders="2,2,2", f=f, box="1,1,1", modes="1",
+                              samples="4", eval="0.01,0,0,0")
+        code, out, err = run(argv, capsys)
+        _assert_one_line_error(code, out, err)
+        assert message in err
+
     def test_deep_nesting_is_an_error(self, tree_file, capsys):
         path = tree_file("a2.json", chain([1]))
         deep = "(" * 2000 + "x1" + ")" * 2000
@@ -274,6 +304,15 @@ class TestSolveHeatInputs:
         code, out, err = run(_heat_argv(path, csv=target), capsys)
         _assert_one_line_error(code, out, err)
         assert target in err
+
+    @pytest.mark.parametrize("bound", ["inf", "nan"])
+    def test_non_finite_box_is_an_error(self, tree_file, capsys, bound):
+        path = tree_file("a3.json", chain([1, 1]))
+        argv = _heat_argv(path, orders="2,2,2", f="x1", box=f"1,1,{bound}", modes="1",
+                          samples="4", eval="0.01,0,0,0")
+        code, out, err = run(argv, capsys)
+        _assert_one_line_error(code, out, err)
+        assert "positive half-width" in err
 
     def test_negative_modes_is_an_error(self, tree_file, capsys):
         path = tree_file("a2.json", chain([1]))

@@ -313,6 +313,13 @@ class TestSolveHeat:
         with pytest.raises(ValueError):
             solve_heat(chain([1]), [2, 2], "1", (1.0,), 2, 16)
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_non_finite_box_is_rejected(self, bound):
+        with pytest.raises(ValueError, match="positive half-width"):
+            solve_heat(chain([1]), [2, 2], "1", (1.0, bound), 1, 4)
+        with pytest.raises(ValueError, match="must be positive"):
+            mode_exponent(xi_family(chain([1]), [2, 2]), (1, 1), (1.0, bound), 0.1)
+
     def test_single_point_and_batch_shapes(self):
         sol = solve_heat(chain([1]), [2, 2], "cos(2*pi*x1/2)", (2.0, 1.0), 2, 16)
         points = np.array([[0.3, -0.4], [-1.2, 0.9], [0.0, 0.0]])

@@ -17,10 +17,11 @@ from treelie import (
     principal_ideal,
     root_poset,
 )
-from treelie.ideals import ORACLE_GUARD, count_admissible_pairs
+from treelie.ideals import ORACLE_GUARD, _independent_subsets, count_admissible_pairs
 from treelie.liealg import structure_table
 
 from .corpus import CORPUS, A3_14, WIDE_Y, small_trees
+from .poset_oracle import OraclePoset, independent_subsets
 
 
 def _members(mask):
@@ -68,6 +69,28 @@ class TestRootPoset:
                         for b in poset.elements:
                             if a != b:
                                 assert not (poset.leq(a, b) and poset.leq(b, a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_trees(), st.sampled_from(["up", "down"]))
+    def test_masks_match_the_value_vector_oracle(self, tree, direction):
+        for i in range(1, tree.n + 1):
+            poset = root_poset(tree, i, direction)
+            oracle = OraclePoset(tree, i, direction)
+            assert (poset.support, poset.elements) == (oracle.support, oracle.elements)
+            for a in poset.elements:
+                assert poset.downset([a]) == oracle.downset([a])
+                for b in poset.elements:
+                    assert poset.leq(a, b) == oracle.leq(a, b), (tree, i, a, b)
+            # antichains grow exponentially: chain([2, 2, 2, 2]) has a
+            # 201-element poset with 11.5 million of them
+            if len(poset.elements) <= 40:
+                chains = poset.antichains()
+                assert chains == oracle.antichains()
+                for tops in chains:
+                    assert poset.downset(tops) == oracle.downset(tops)
+        cls = classify_nodes(tree)
+        for ground in (cls.upsilon, cls.phi, range(1, tree.n + 1)):
+            assert _independent_subsets(tree, ground) == independent_subsets(tree, ground)
 
 
 class TestPrincipalIdeal:
