@@ -45,7 +45,7 @@ from .liealg import (
     roots,
     verify_structure,
 )
-from .polynomials import GaussianRational, MultiPoly, series_coeff
+from .polynomials import MultiPoly, series_coeff
 from .trees import (
     NodeClassification,
     TreeDiagram,

@@ -125,6 +125,15 @@ def eta_family(tree: TreeDiagram) -> EtaFamily:
     return EtaFamily(tree=tree, eta=eta, xi=xi)
 
 
+def _shifted_point(family: EtaFamily, t: float, x: Sequence[float]) -> np.ndarray:
+    """x + eta(t, x) at one time and one point."""
+    env = {"t": float(t)}
+    env.update({f"x{i + 1}": float(v) for i, v in enumerate(x)})
+    return np.array(
+        [x[i - 1] + family.eta[i].eval_float(env) for i in range(1, family.tree.n + 1)]
+    )
+
+
 @dataclass(frozen=True)
 class FirstOrderSolution:
     tree: TreeDiagram
@@ -132,11 +141,7 @@ class FirstOrderSolution:
     f_ast: expressions.ExprNode
 
     def shifted_point(self, t: float, x: Sequence[float]) -> np.ndarray:
-        env = {"t": float(t)}
-        env.update({f"x{i + 1}": float(v) for i, v in enumerate(x)})
-        return np.array(
-            [x[i - 1] + self.family.eta[i].eval_float(env) for i in range(1, self.tree.n + 1)]
-        )
+        return _shifted_point(self.family, t, x)
 
     def __call__(self, t: float, x: Sequence[float]) -> float:
         if len(x) != self.tree.n:
@@ -227,11 +232,7 @@ def verify_first_order(tree: TreeDiagram, f, mode: str = "exact") -> FirstOrderR
         numeric = flow_rk4(tree, starts, times)
         worst = 0.0
         for x0, t, flowed in zip(starts, times, numeric):
-            env = {"t": t}
-            env.update({f"x{i + 1}": x0[i] for i in range(tree.n)})
-            exact = np.array(
-                [x0[i - 1] + family.eta[i].eval_float(env) for i in range(1, tree.n + 1)]
-            )
+            exact = _shifted_point(family, t, x0)
             worst = max(worst, float(np.max(np.abs(flowed - exact))))
         return FirstOrderReport(ok=worst <= FLOW_TOLERANCE, mode="numeric", max_error=worst)
     raise ValueError(f"mode must be 'exact' or 'numeric', got {mode!r}")

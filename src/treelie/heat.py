@@ -8,6 +8,8 @@ integrates (z_i + sum of the children's xi~)^{m_i} from 0 to t. The full
 exponent of a mode is E = xi~_1 + sum over i >= 2 of x_parent(i)*xi~_i
 with z_r replaced by 2*pi*k_r*sqrt(-1)/a_r; its real part is the growth
 exponent A and its imaginary part the phase shift B, both affine in x.
+All exact work stays over the rationals in the z symbols: sqrt(-1)
+enters only through the z-degree of a term when A and B are split.
 
 Numerically every mode is handled at once: ``solve_heat`` builds one
 complex table of t-polynomial coefficients (node x mode x power of t),
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import expressions
 from .errors import SizeGuardError
-from .polynomials import IMAG_UNIT, MultiPoly
+from .polynomials import MultiPoly
 from .trees import TreeDiagram
 
 __all__ = [
@@ -63,7 +65,6 @@ class XiFamily:
     tree: TreeDiagram
     orders: Tuple[int, ...]
     xi_tilde: Dict[int, MultiPoly]
-    parent_factor: Dict[int, int]
 
 
 def xi_family(tree: TreeDiagram, orders: Sequence[int]) -> XiFamily:
@@ -84,8 +85,7 @@ def xi_family(tree: TreeDiagram, orders: Sequence[int]) -> XiFamily:
             for s in kids:
                 inner = inner + xi[s].substitute({"t": y})
             xi[i] = (inner ** orders[i - 1]).integrate_from_zero("y1", "t")
-    parent_factor = {i: tree.parent(i) for i in range(2, tree.n + 1)}
-    return XiFamily(tree=tree, orders=orders, xi_tilde=xi, parent_factor=parent_factor)
+    return XiFamily(tree=tree, orders=orders, xi_tilde=xi)
 
 
 @dataclass(frozen=True)
@@ -160,19 +160,29 @@ def mode_exponent(
 
 def mode_exponent_symbolic(xi: XiFamily) -> Tuple[MultiPoly, MultiPoly]:
     """A and B as exact polynomials in t, x, and the frequency symbols
-    k1..kn, split from the Gaussian-rational exponent."""
+    k1..kn.
+
+    Substituting z_r = sqrt(-1)*k_r turns a term of z-degree d into the
+    same term in k times sqrt(-1)^d, which is 1, sqrt(-1), -1 or
+    -sqrt(-1) as d mod 4 is 0, 1, 2 or 3. So one pass over the terms of
+    the rational exponent sends even d to A and odd d to B, negated when
+    d mod 4 >= 2.
+    """
     E = _symbolic_exponent(xi)
-    return E.real_part(), E.imag_part()
+    names = tuple("k" + v[1:] if v[0] == "z" else v for v in E.variables)
+    zs = [j for j, v in enumerate(E.variables) if v[0] == "z"]
+    parts = ({}, {})
+    for exps, c in E.terms.items():
+        d = sum(exps[j] for j in zs)
+        parts[d % 2][exps] = c if d % 4 < 2 else -c
+    return MultiPoly(names, parts[0]), MultiPoly(names, parts[1])
 
 
 def _symbolic_exponent(xi: XiFamily) -> MultiPoly:
-    n = xi.tree.n
-    sub = {
-        f"z{r}": MultiPoly.term(IMAG_UNIT, **{f"k{r}": 1}) for r in range(1, n + 1)
-    }
-    E = xi.xi_tilde[1].substitute(sub)
-    for i in range(2, n + 1):
-        E = E + MultiPoly.var(f"x{xi.parent_factor[i]}") * xi.xi_tilde[i].substitute(sub)
+    """E~ = xi~_1 + sum over i >= 2 of x_parent(i)*xi~_i, in the z symbols."""
+    E = xi.xi_tilde[1]
+    for i in range(2, xi.tree.n + 1):
+        E = E + MultiPoly.var(f"x{xi.tree.parent(i)}") * xi.xi_tilde[i]
     return E
 
 
@@ -185,22 +195,24 @@ class ModeCheck:
 def verify_modes(tree: TreeDiagram, orders: Sequence[int]) -> ModeCheck:
     """Exact symbolic check that every plane wave solves the equation.
 
-    With E(t, x, k) the mode exponent and c_j(t, k) the coefficient of x_j
-    in E, time differentiation must equal the symbol of the operator:
-    dE/dt = (c_1 + i k_1)^{m_1} + sum over edges (i, j) of
-    x_i (c_j + i k_j)^{m_j}, exactly over the Gaussian rationals.
+    A mode is exp(i*kappa.x + E) with i = sqrt(-1) and E the exponent E~
+    at z = i*kappa. E is affine in x, so d/dx_j multiplies the mode by
+    c_j + i*kappa_j, c_j being the coefficient of x_j in E, and the mode
+    solves the equation exactly when dE/dt = (c_1 + i*kappa_1)^{m_1} +
+    sum over edges (p, j) of x_p (c_j + i*kappa_j)^{m_j}. Both sides are
+    the sides of the identity below at z = i*kappa, an invertible change
+    of variables, so the plane-wave identity holds for every kappa exactly
+    when, over the rationals,
+    dE~/dt = (c~_1 + z_1)^{m_1} + sum over edges (p, j) of
+    x_p (c~_j + z_j)^{m_j}, with c~_j the coefficient of x_j in E~.
     """
     xi = xi_family(tree, orders)
     E = _symbolic_exponent(xi)
     lhs = E.differentiate("t")
-    iu = MultiPoly.const(IMAG_UNIT)
-    c1 = E.coeff_of("x1", 1)
-    rhs = (c1 + iu * MultiPoly.var("k1")) ** xi.orders[0]
+    rhs = (E.coeff_of("x1", 1) + MultiPoly.var("z1")) ** xi.orders[0]
     for p, c, _ in tree.edges():
         cj = E.coeff_of(f"x{c}", 1)
-        rhs = rhs + MultiPoly.var(f"x{p}") * (
-            cj + iu * MultiPoly.var(f"k{c}")
-        ) ** xi.orders[c - 1]
+        rhs = rhs + MultiPoly.var(f"x{p}") * (cj + MultiPoly.var(f"z{c}")) ** xi.orders[c - 1]
     residual = lhs - rhs
     return ModeCheck(ok=residual.is_zero, residual=residual)
 

@@ -49,9 +49,7 @@ class DiffOpMonomial(NamedTuple):
             for i, e in enumerate(self.exps)
             if e
         )
-        c = "" if self.coeff == 1 and body else f"{self.coeff}*"
-        if self.coeff == 1 and not body:
-            c = ""
+        c = "" if self.coeff == 1 else f"{self.coeff}*"
         return f"{c}{body + '*' if body else ''}d{self.dvar}"
 
 

@@ -1,5 +1,4 @@
-"""Exact sparse multivariate polynomial arithmetic over the rationals and
-the Gaussian rationals.
+"""Exact sparse multivariate polynomial arithmetic over the rationals.
 
 Polynomials are immutable values. Terms are a map from exponent tuples to
 nonzero coefficients; variables that occur in no term are pruned, so two
@@ -8,8 +7,8 @@ variable order is fixed by name class (x symbols, then y integration
 temporaries, then z derivative symbols, then k frequency symbols, then t)
 and numeric suffix, which makes serialization deterministic.
 
-Coefficients are ``fractions.Fraction`` or :class:`GaussianRational`;
-a Gaussian coefficient with zero imaginary part is stored as a Fraction.
+Coefficients are ``fractions.Fraction``; an int coefficient is stored as
+a Fraction.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-__all__ = ["GaussianRational", "MultiPoly", "series_coeff", "IMAG_UNIT"]
+__all__ = ["MultiPoly", "series_coeff"]
 
 _CLASS_RANK = {"x": 0, "y": 1, "z": 2, "k": 3, "t": 4}
 
@@ -28,107 +27,10 @@ def _var_key(name: str):
     return (_CLASS_RANK.get(head, 5), head, int(tail) if tail else 0)
 
 
-class GaussianRational:
-    """Number a + b*i with exact rational a, b and i*i = -1."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("Gaussian rational power must be a nonnegative integer")
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-IMAG_UNIT = GaussianRational(0, 1)
-
-Coeff = Union[int, Fraction, GaussianRational]
+Coeff = Union[int, Fraction]
 
 
 def _norm_coeff(c: Coeff):
-    if isinstance(c, GaussianRational):
-        return c.re if c.im == 0 else c
     if isinstance(c, bool):
         raise TypeError("bool is not a polynomial coefficient")
     if isinstance(c, int):
@@ -136,12 +38,6 @@ def _norm_coeff(c: Coeff):
     if isinstance(c, Fraction):
         return c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def _coeff_str(c) -> str:
-    if isinstance(c, GaussianRational):
-        return f"({c.re}{'+' if c.im >= 0 else '-'}{abs(c.im)}*i)"
-    return str(c)
 
 
 class MultiPoly:
@@ -216,7 +112,7 @@ class MultiPoly:
     def _promote(self, other):
         if isinstance(other, MultiPoly):
             return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return MultiPoly.const(other)
         return None
 
@@ -266,8 +162,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -------------------------------------------------------------- calculus
@@ -349,7 +246,7 @@ class MultiPoly:
             raise ValueError(f"missing assignment for variables {sorted(missing)}")
         total = 0j
         for exps, c in self.terms.items():
-            val = complex(c) if isinstance(c, GaussianRational) else complex(c)
+            val = complex(c)
             for v, e in zip(self.variables, exps):
                 if e:
                     val *= complex(assignment[v]) ** e
@@ -360,24 +257,9 @@ class MultiPoly:
         z = self.eval_complex(assignment)
         return z.real
 
-    def real_part(self) -> "MultiPoly":
-        out = {}
-        for exps, c in self.terms.items():
-            r = c.re if isinstance(c, GaussianRational) else c
-            if r:
-                out[exps] = r
-        return MultiPoly(self.variables, out)
-
-    def imag_part(self) -> "MultiPoly":
-        out = {}
-        for exps, c in self.terms.items():
-            if isinstance(c, GaussianRational) and c.im:
-                out[exps] = c.im
-        return MultiPoly(self.variables, out)
-
     # --------------------------------------------------------------- output
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -396,17 +278,14 @@ class MultiPoly:
                 for v, e in zip(self.variables, exps)
                 if e
             )
-            if isinstance(c, GaussianRational):
-                head, body = "+", f"{_coeff_str(c)}{'*' + mono if mono else ''}"
+            head = "-" if c < 0 else "+"
+            a = abs(c)
+            if not mono:
+                body = str(a)
+            elif a == 1:
+                body = mono
             else:
-                head = "-" if c < 0 else "+"
-                a = abs(c)
-                if not mono:
-                    body = str(a)
-                elif a == 1:
-                    body = mono
-                else:
-                    body = f"{a}*{mono}"
+                body = f"{a}*{mono}"
             pieces.append((head, body))
         head, body = pieces[0]
         text = ("-" if head == "-" else "") + body

@@ -6,6 +6,10 @@ each node are rebuilt term by term from the xi~ polynomials, each
 t-polynomial is evaluated with ``np.polyval``, and the growth and phase
 of each mode are formed at one point before the weighted cosine and sine
 values are added up in mode order.
+
+``split_exponent_sympy`` is the independent route to the symbolic growth
+and phase split: sympy expands the exponent with z_r = I*k_r and takes
+its real and imaginary parts.
 """
 
 from typing import Dict, Sequence
@@ -55,7 +59,7 @@ def mode_exponents(solution: HeatSolution, t: float):
         const = eval_tpoly(parts[1], t)
         coeffs = np.zeros(tree.n, dtype=complex)
         for i in range(2, tree.n + 1):
-            coeffs[xi.parent_factor[i] - 1] += eval_tpoly(parts[i], t)
+            coeffs[tree.parent(i) - 1] += eval_tpoly(parts[i], t)
         out.append((const, coeffs))
     return out
 
@@ -75,3 +79,31 @@ def mode_sum(solution: HeatSolution, t: float, points) -> np.ndarray:
             total += mode.b * (growth * np.cos(angle)) + mode.c * (growth * np.sin(angle))
         out.append(float(total))
     return np.array(out)
+
+
+def poly_to_sympy(poly):
+    """The polynomial as a sympy expression in real symbols of the same names."""
+    import sympy
+
+    syms = [sympy.Symbol(v, real=True) for v in poly.variables]
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
+        for exps, c in poly.terms.items()
+    ))
+
+
+def split_exponent_sympy(xi: XiFamily):
+    """(re, im) of xi~_1 + sum over i >= 2 of x_parent(i)*xi~_i with
+    z_r = I*k_r, as expanded sympy expressions in real symbols x, k, t."""
+    import sympy
+
+    n = xi.tree.n
+    E = poly_to_sympy(xi.xi_tilde[1])
+    for i in range(2, n + 1):
+        E += sympy.Symbol(f"x{xi.tree.parent(i)}", real=True) * poly_to_sympy(xi.xi_tilde[i])
+    z_to_ik = {
+        sympy.Symbol(f"z{r}", real=True): sympy.I * sympy.Symbol(f"k{r}", real=True)
+        for r in range(1, n + 1)
+    }
+    E = sympy.expand(E.subs(z_to_ik, simultaneous=True))
+    return sympy.expand(sympy.re(E)), sympy.expand(sympy.im(E))

@@ -1,6 +1,7 @@
 """Derivative-symbol polynomials, mode exponents, Fourier coefficients,
 and the assembled heat-type solver."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -15,6 +16,7 @@ from treelie import (
     e_tree,
     expressions,
     fourier_coefficients,
+    heat,
     mode_exponent,
     mode_exponent_symbolic,
     solve_heat,
@@ -25,7 +27,7 @@ from treelie.heat import _exponent_parts, _grid_values, _mode_table, _waves, mod
 from treelie.polynomials import MultiPoly
 
 from .corpus import CORPUS, small_trees
-from .heat_oracle import mode_exponents, mode_sum
+from .heat_oracle import mode_exponents, mode_sum, poly_to_sympy, split_exponent_sympy
 
 T = MultiPoly.var("t")
 Z1 = MultiPoly.var("z1")
@@ -138,6 +140,36 @@ class TestVerifyModes:
             for orders in _order_vectors(tree.n):
                 check = verify_modes(tree, orders)
                 assert check.ok, (tree, orders, str(check.residual))
+
+    def test_wrong_exponent_is_rejected(self, monkeypatch):
+        # xi~_1 of chain([1]), orders [2, 2], with its t^3 coefficient
+        # 1/3 raised to 1/2: the identity then misses by t^2*z2^4/2
+        exact = heat.xi_family
+
+        def tampered(tree, orders):
+            xi = exact(tree, orders)
+            wrong = xi.xi_tilde[1] + T ** 3 * Z2 ** 4 * Fraction(1, 6)
+            return dataclasses.replace(xi, xi_tilde={**xi.xi_tilde, 1: wrong})
+
+        monkeypatch.setattr(heat, "xi_family", tampered)
+        check = verify_modes(chain([1]), [2, 2])
+        assert check.ok is False
+        assert check.residual == T ** 2 * Z2 ** 4 * Fraction(1, 2)
+
+
+class TestSymbolicSplitOracle:
+    def test_corpus_split_matches_sympy(self):
+        # A + I*B against sympy's expansion of the exponent at z_r = I*k_r
+        sympy = pytest.importorskip("sympy")
+        for name, tree in CORPUS:
+            if tree.n > 4:
+                continue
+            for orders in _order_vectors(tree.n):
+                xi = xi_family(tree, orders)
+                A, B = mode_exponent_symbolic(xi)
+                re, im = split_exponent_sympy(xi)
+                got = poly_to_sympy(A) + sympy.I * poly_to_sympy(B)
+                assert sympy.expand(got - (re + sympy.I * im)) == 0, (name, orders)
 
 
 def _order_vectors(n):

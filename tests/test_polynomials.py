@@ -8,32 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelie.polynomials import GaussianRational, IMAG_UNIT, MultiPoly, series_coeff
+from treelie.polynomials import MultiPoly, series_coeff
 
 X1 = MultiPoly.var("x1")
 X2 = MultiPoly.var("x2")
 T = MultiPoly.var("t")
 Y = MultiPoly.var("y1")
-
-
-class TestGaussianRational:
-    def test_imaginary_unit_squares_to_minus_one(self):
-        assert IMAG_UNIT * IMAG_UNIT == Fraction(-1)
-
-    def test_conjugation_is_an_involution(self):
-        z = GaussianRational(Fraction(3, 4), Fraction(-2, 5))
-        assert z.conjugate().conjugate() == z
-        assert z * z.conjugate() == Fraction(9, 16) + Fraction(4, 25)
-
-    def test_division(self):
-        z = GaussianRational(1, 1)
-        w = GaussianRational(0, 2)
-        assert z / w == GaussianRational(Fraction(1, 2), Fraction(-1, 2))
-
-    def test_real_gaussian_normalizes_to_fraction(self):
-        p = MultiPoly.const(GaussianRational(2, 0))
-        assert p == MultiPoly.const(2)
-        assert isinstance(p.constant_term(), Fraction)
 
 
 class TestArithmetic:
@@ -213,6 +193,29 @@ class TestRingLaws:
         assert (a + b).substitute(sub) == a.substitute(sub) + b.substitute(sub)
         assert (a * b).substitute(sub) == a.substitute(sub) * b.substitute(sub)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_polys())
+    def test_power_is_repeated_multiplication(self, p):
+        product = MultiPoly.const(1)
+        for k in range(7):
+            assert p ** k == product
+            product = product * p
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # one product per set bit and one squaring per bit after the first
+        calls = []
+        mul = MultiPoly.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        for k in range(1, 9):
+            calls.clear()
+            (X1 + T) ** k
+            assert len(calls) == bin(k).count("1") + k.bit_length() - 1, k
+
 
 class TestSerialization:
     def test_canonical_text(self):
@@ -224,8 +227,10 @@ class TestSerialization:
 
     def test_negative_and_gaussian_coefficients(self):
         assert str(X1 - T) == "x1 - t"
-        p = MultiPoly.term(IMAG_UNIT, k1=1)
-        assert str(p) == "(0+1*i)*k1"
+        # coefficients are rationals only: the mode exponents keep sqrt(-1)
+        # in the derivative symbols instead
+        with pytest.raises(TypeError):
+            MultiPoly.term(1j, k1=1)
 
     def test_zero(self):
         assert str(MultiPoly.zero()) == "0"
