@@ -198,7 +198,7 @@ def _cmd_solve_first(ns) -> dict:
     if ns.emit_eta:
         doc["eta"] = [str(solution.family.eta[i]) for i in range(1, tree.n + 1)]
     if ns.verify:
-        report = firstorder.verify_first_order(tree, ast, mode=ns.verify)
+        report = firstorder.verify_first_order(solution.family, ast, mode=ns.verify)
         doc["verified"] = bool(report.ok)
     return doc
 
@@ -220,7 +220,7 @@ def _cmd_solve_heat(ns) -> dict:
         )
     t, x = point[0], point[1:]
     solution = heat.solve_heat(tree, orders, ns.f, box, ns.modes, ns.samples)
-    check = heat.verify_modes(tree, orders)
+    check = heat.verify_modes(solution.family)
     doc = {
         "u": solution(t, x),
         "modes_used": solution.modes_used,

@@ -112,16 +112,12 @@ class EtaFamily:
 
 
 def eta_family(tree: TreeDiagram) -> EtaFamily:
-    t = MultiPoly.var("t")
-    y = MultiPoly.var("y1")
-    eta: Dict[int, MultiPoly] = {1: t}
+    eta: Dict[int, MultiPoly] = {1: MultiPoly.var("t")}
     for i in range(2, tree.n + 1):
         p = tree.parent(i)
-        w = tree.weight(i)
-        integrand = (MultiPoly.var(f"x{p}") + eta[p].substitute({"t": y})) ** w
+        integrand = (MultiPoly.var(f"x{p}") + eta[p].rename({"t": "y1"})) ** tree.weight(i)
         eta[i] = integrand.integrate_from_zero("y1", "t")
-    minus_t = -t
-    xi = {i: -(e.substitute({"t": minus_t})) for i, e in eta.items()}
+    xi = {i: -e.reflect("t") for i, e in eta.items()}
     return EtaFamily(tree=tree, eta=eta, xi=xi)
 
 
@@ -199,18 +195,19 @@ class FirstOrderReport:
     residual: MultiPoly = None
 
 
-def verify_first_order(tree: TreeDiagram, f, mode: str = "exact") -> FirstOrderReport:
-    """Two independent checks of the shifted-argument solution.
+def verify_first_order(family: EtaFamily, f, mode: str = "exact") -> FirstOrderReport:
+    """Two independent checks of the shifted-argument solution built from
+    the family, on the family's tree.
 
     exact: for polynomial f, the residual u_t - (d/dx_1 + sum of
     x_i^w d/dx_j) u must be the zero polynomial.
     numeric: RK4 characteristics from NUMERIC_SAMPLES random starts must
     match x + eta to within the flow tolerance.
     """
+    tree = family.tree
     ast = expressions.parse_expression(f, tree.n) if isinstance(f, str) else f
     if mode == "exact":
         fpoly = expressions.to_multipoly(ast, tree.n)
-        family = eta_family(tree)
         shift = {
             f"x{i}": MultiPoly.var(f"x{i}") + family.eta[i]
             for i in range(1, tree.n + 1)
@@ -223,7 +220,6 @@ def verify_first_order(tree: TreeDiagram, f, mode: str = "exact") -> FirstOrderR
         return FirstOrderReport(ok=residual.is_zero, mode="exact", residual=residual)
     if mode == "numeric":
         rng = np.random.default_rng(NUMERIC_SEED)
-        family = eta_family(tree)
         starts = np.empty((NUMERIC_SAMPLES, tree.n))
         times = np.empty(NUMERIC_SAMPLES)
         for s in range(NUMERIC_SAMPLES):

@@ -73,17 +73,15 @@ def xi_family(tree: TreeDiagram, orders: Sequence[int]) -> XiFamily:
         raise ValueError(f"expected {tree.n} orders, got {len(orders)}")
     if any(m < 1 for m in orders):
         raise ValueError("orders must be positive integers")
-    t = MultiPoly.var("t")
-    y = MultiPoly.var("y1")
     xi: Dict[int, MultiPoly] = {}
     for i in range(tree.n, 0, -1):
         kids = tree.children(i)
         if not kids:
-            xi[i] = t * MultiPoly.term(1, **{f"z{i}": orders[i - 1]})
+            xi[i] = MultiPoly.term(1, t=1, **{f"z{i}": orders[i - 1]})
         else:
             inner = MultiPoly.var(f"z{i}")
             for s in kids:
-                inner = inner + xi[s].substitute({"t": y})
+                inner = inner + xi[s].rename({"t": "y1"})
             xi[i] = (inner ** orders[i - 1]).integrate_from_zero("y1", "t")
     return XiFamily(tree=tree, orders=orders, xi_tilde=xi)
 
@@ -192,8 +190,9 @@ class ModeCheck:
     residual: MultiPoly
 
 
-def verify_modes(tree: TreeDiagram, orders: Sequence[int]) -> ModeCheck:
-    """Exact symbolic check that every plane wave solves the equation.
+def verify_modes(xi: XiFamily) -> ModeCheck:
+    """Exact symbolic check that every plane wave built from the family
+    solves the equation on the family's tree with the family's orders.
 
     A mode is exp(i*kappa.x + E) with i = sqrt(-1) and E the exponent E~
     at z = i*kappa. E is affine in x, so d/dx_j multiplies the mode by
@@ -206,11 +205,10 @@ def verify_modes(tree: TreeDiagram, orders: Sequence[int]) -> ModeCheck:
     dE~/dt = (c~_1 + z_1)^{m_1} + sum over edges (p, j) of
     x_p (c~_j + z_j)^{m_j}, with c~_j the coefficient of x_j in E~.
     """
-    xi = xi_family(tree, orders)
     E = _symbolic_exponent(xi)
     lhs = E.differentiate("t")
     rhs = (E.coeff_of("x1", 1) + MultiPoly.var("z1")) ** xi.orders[0]
-    for p, c, _ in tree.edges():
+    for p, c, _ in xi.tree.edges():
         cj = E.coeff_of(f"x{c}", 1)
         rhs = rhs + MultiPoly.var(f"x{p}") * (cj + MultiPoly.var(f"z{c}")) ** xi.orders[c - 1]
     residual = lhs - rhs
@@ -260,15 +258,22 @@ def fourier_coefficients(
     grid, evaluated through the FFT (on this grid the two coincide), which
     is exact to rounding for band-limited trigonometric data. Each pair is
     then scaled by the zero-component half-weighting.
+
+    Coefficients that are zero in exact arithmetic come out at rounding
+    level, and the mode sum multiplies them by exp(A), which reaches
+    1e29 on a 4-node star at t = 0.04, so there u depends on the FFT's
+    rounding: the real-input FFT, which holds every index read here,
+    moves such a u by about 1 %. Another transform must give these
+    coefficients bit for bit, not only to rounding.
     """
     n = len(box)
     if samples < 4 * max(cutoff, 1) or samples & (samples - 1):
         raise ValueError("samples must be a power of two with samples >= 4*cutoff")
-    values = _grid_values(f, box, samples)
-    spectrum = np.fft.fftn(values) * (2.0 ** n / samples ** n)
+    spectrum = np.fft.fftn(_grid_values(f, box, samples))
+    scale = 2.0 ** n / samples ** n
     out: Dict[Tuple[int, ...], Tuple[float, float]] = {}
     for k in iproduct(range(cutoff + 1), repeat=n):
-        z = spectrum[tuple(2 * kv for kv in k)]
+        z = spectrum[tuple(2 * kv for kv in k)] * scale
         w = mode_weight(k)
         out[k] = (w * z.real, -w * z.imag)
     return out
@@ -290,13 +295,15 @@ class HeatSolution:
     exp(A(t, x)) * (b*cos(theta(t, x)) + c*sin(theta(t, x))), where A and
     theta = 2*pi*k.x/box + B are affine in x.
 
-    table is the (n, modes, deg + 1) complex t-polynomial table of
-    ``_mode_table``; waves (modes, n) holds 2*pi*k/box and amplitudes
-    (2, modes) the b and c rows, in the order of ``modes``.
+    family is the xi~ family the solution is built from; table is the
+    (n, modes, deg + 1) complex t-polynomial table of ``_mode_table``;
+    waves (modes, n) holds 2*pi*k/box and amplitudes (2, modes) the b and
+    c rows, in the order of ``modes``.
     """
 
     tree: TreeDiagram
     orders: Tuple[int, ...]
+    family: XiFamily
     box: Tuple[float, ...]
     modes: Tuple[FourierMode, ...]
     table: np.ndarray
@@ -372,7 +379,8 @@ def solve_heat(
     waves = _waves(ks, box)
     return HeatSolution(
         tree=tree,
-        orders=tuple(int(m) for m in orders),
+        orders=xi.orders,
+        family=xi,
         box=box,
         modes=modes,
         table=_mode_table(xi, waves),

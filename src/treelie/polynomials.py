@@ -1,19 +1,27 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials are immutable values. Terms are a map from exponent tuples to
-nonzero coefficients; variables that occur in no term are pruned, so two
-polynomials are equal exactly when they have the same canonical form. The
-variable order is fixed by name class (x symbols, then y integration
-temporaries, then z derivative symbols, then k frequency symbols, then t)
-and numeric suffix, which makes serialization deterministic.
+Polynomials are immutable values. A polynomial stores integer numerators
+``num`` (a map from exponent tuples to nonzero ints) over one positive
+common denominator ``den``, with no common factor between ``den`` and the
+numerators: the content and primitive part of von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 6. Variables that occur in no term are
+pruned, so two polynomials are equal exactly when they have the same
+``(variables, den, num)``. The variable order is fixed by name class
+(x symbols, then y integration temporaries, then z derivative symbols,
+then k frequency symbols, then t) and numeric suffix, which makes
+serialization deterministic.
 
-Coefficients are ``fractions.Fraction``; an int coefficient is stored as
-a Fraction.
+Arithmetic works on the integers and builds each result once, through
+one normaliser. ``terms`` is the public view of the same polynomial with
+``fractions.Fraction`` coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm, prod
+from operator import add
 from typing import Iterable, Mapping, Union
 
 __all__ = ["MultiPoly", "series_coeff"]
@@ -21,6 +29,7 @@ __all__ = ["MultiPoly", "series_coeff"]
 _CLASS_RANK = {"x": 0, "y": 1, "z": 2, "k": 3, "t": 4}
 
 
+@lru_cache(maxsize=None)
 def _var_key(name: str):
     head = name.rstrip("0123456789")
     tail = name[len(head):]
@@ -44,16 +53,27 @@ class MultiPoly:
     """Sparse exact polynomial in named variables.
 
     Supports ring arithmetic through operators, simultaneous substitution,
-    formal differentiation, definite integration from zero, and evaluation
-    over complex floats.
+    variable renaming and reflection, formal differentiation, definite
+    integration from zero, and evaluation over complex floats.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "num", "den")
 
-    def __init__(self, variables=(), terms=None):
-        canon = _canonicalize(tuple(variables), dict(terms or {}))
-        object.__setattr__(self, "variables", canon[0])
-        object.__setattr__(self, "terms", canon[1])
+    def __new__(cls, variables=(), terms=None):
+        variables = tuple(variables)
+        clean = {}
+        for exps, c in dict(terms or {}).items():
+            c = _norm_coeff(c)
+            if not c:
+                continue
+            if len(exps) != len(variables):
+                raise ValueError("exponent tuple length does not match variables")
+            if any(e < 0 for e in exps):
+                raise ValueError("exponents must be nonnegative")
+            clean[tuple(exps)] = c
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        return _make(variables, num, den)
 
     def __setattr__(self, *a):  # immutable value semantics
         raise AttributeError("MultiPoly is immutable")
@@ -61,16 +81,16 @@ class MultiPoly:
     # ---------------------------------------------------------------- build
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls((), {})
+        return _new((), {}, 1)
 
     @classmethod
     def const(cls, c: Coeff) -> "MultiPoly":
         c = _norm_coeff(c)
-        return cls((), {(): c} if c else {})
+        return _new((), {(): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return _new((name,), {(1,): 1}, 1)
 
     @classmethod
     def term(cls, coeff: Coeff = 1, **powers: int) -> "MultiPoly":
@@ -83,8 +103,14 @@ class MultiPoly:
 
     # ------------------------------------------------------------ structure
     @property
+    def terms(self):
+        """Exponent tuple -> nonzero Fraction coefficient."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def canonical_terms(self):
         """Terms ordered by total degree, then descending exponent order."""
@@ -95,18 +121,14 @@ class MultiPoly:
     def coeff_of(self, var: str, power: int) -> "MultiPoly":
         """Polynomial coefficient of var**power in the remaining variables."""
         if var not in self.variables:
-            return MultiPoly.const(0) if power else self
+            return MultiPoly.zero() if power else self
         i = self.variables.index(var)
         vs = self.variables[:i] + self.variables[i + 1:]
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                out[exps[:i] + exps[i + 1:]] = c
-        return MultiPoly(vs, out)
+        out = {e[:i] + e[i + 1:]: c for e, c in self.num.items() if e[i] == power}
+        return _make(vs, out, self.den)
 
     def constant_term(self):
-        zero = (0,) * len(self.variables)
-        return self.terms.get(zero, Fraction(0))
+        return Fraction(self.num.get((0,) * len(self.variables), 0), self.den)
 
     # ----------------------------------------------------------- arithmetic
     def _promote(self, other):
@@ -121,15 +143,18 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         vs, ta, tb = _align(self, o)
-        out = dict(ta)
-        for exps, c in tb.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly(vs, out)
+        den = lcm(self.den, o.den)
+        sa, sb = den // self.den, den // o.den
+        out = {e: c * sa for e, c in ta.items()}
+        get = out.get
+        for e, c in tb.items():
+            out[e] = get(e, 0) + c * sb
+        return _make(vs, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _new(self.variables, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._promote(other)
@@ -145,12 +170,7 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         vs, ta, tb = _align(self, o)
-        out = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return MultiPoly(vs, out)
+        return _make(vs, _mul_terms(ta, tb), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -173,80 +193,92 @@ class MultiPoly:
 
         All replacements happen against the original polynomial, so
         substituting ``{x1: x1 + t}`` does not feed the new ``x1`` back in.
+        Each power ``base ** e`` is built once, and every term is summed
+        into one integer map over one denominator: a power of a
+        replacement with denominator d has denominator d**e (Gauss's
+        lemma), so the sum is taken over den * prod of d**(top degree).
         """
-        reps = {}
-        for v, p in mapping.items():
-            reps[v] = p if isinstance(p, MultiPoly) else MultiPoly.const(p)
-        out = MultiPoly.zero()
-        for exps, c in self.terms.items():
-            piece = MultiPoly.const(c)
-            for v, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                base = reps.get(v)
-                if base is None:
-                    piece = piece * MultiPoly((v,), {(e,): Fraction(1)})
-                else:
-                    piece = piece * base ** e
-            out = out + piece
-        return out
+        bases = [mapping.get(v, MultiPoly.var(v)) for v in self.variables]
+        bases = [p if isinstance(p, MultiPoly) else MultiPoly.const(p) for p in bases]
+        vs = tuple(sorted(set().union(*(p.variables for p in bases)), key=_var_key))
+        tops = [max(e[i] for e in self.num) for i in range(len(bases))]
+        den = self.den * prod(p.den ** top for p, top in zip(bases, tops))
+        needed = {(i, e) for exps in self.num for i, e in enumerate(exps) if e}
+        powers = {(i, e): _remap(bases[i] ** e, vs) for i, e in needed}
+        out = {}
+        get = out.get
+        for exps, c in self.num.items():
+            c *= prod(p.den ** (top - e) for p, top, e in zip(bases, tops, exps))
+            piece = {(0,) * len(vs): c}
+            for i, e in enumerate(exps):
+                if e:
+                    piece = _mul_terms(piece, powers[i, e])
+            for m, c in piece.items():
+                out[m] = get(m, 0) + c
+        return _make(vs, out, den)
+
+    def rename(self, names: Mapping[str, str]) -> "MultiPoly":
+        """The same polynomial with variables renamed, e.g. ``{"t": "y1"}``.
+
+        A new name must not be a variable the polynomial keeps."""
+        vs = tuple(names.get(v, v) for v in self.variables)
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"renaming {dict(names)} merges variables of {self.variables}")
+        return _make(vs, self.num, self.den)
+
+    def reflect(self, var: str) -> "MultiPoly":
+        """p with var replaced by -var: the terms of odd degree in var flip sign."""
+        if var not in self.variables:
+            return self
+        i = self.variables.index(var)
+        return _new(
+            self.variables,
+            {e: -c if e[i] & 1 else c for e, c in self.num.items()},
+            self.den,
+        )
 
     def differentiate(self, var: str) -> "MultiPoly":
         if var not in self.variables:
             return MultiPoly.zero()
         i = self.variables.index(var)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            ne = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[ne] = out.get(ne, Fraction(0)) + c * e
-        return MultiPoly(self.variables, out)
+        out = {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.num.items() if e[i]
+        }
+        return _make(self.variables, out, self.den)
 
     def integrate_from_zero(self, var: str, upper: str) -> "MultiPoly":
         """Definite integral in ``var`` from 0 to the symbol ``upper``.
 
         Each term c*var**k maps to c*upper**(k+1)/(k+1); other variables are
-        untouched and ``var`` does not occur in the result.
+        untouched and ``var`` does not occur in the result. The result is
+        built once, over den times the lcm of the k+1.
         """
-        used = self.variables_used()
         if var == upper:
-            if var in used:
+            if var in self.variables:
                 raise ValueError(
                     f"integration variable {var!r} equals the upper bound and occurs in the integrand"
                 )
-        elif upper in used:
+        elif upper in self.variables:
             raise ValueError(f"upper bound {upper!r} already occurs in the integrand")
-        vi = self.variables.index(var) if var in self.variables else None
-        out = MultiPoly.zero()
-        for exps, c in self.terms.items():
-            k = exps[vi] if vi is not None else 0
-            rest = {
-                v: e
-                for v, e in zip(self.variables, exps)
-                if e and v != var
-            }
-            rest[upper] = rest.get(upper, 0) + k + 1
-            out = out + MultiPoly.term(c / (k + 1), **rest)
-        return out
+        # an absent var sits past the last slot, where e[i:i + 1] is empty
+        i = self.variables.index(var) if var in self.variables else len(self.variables)
+        vs = self.variables[:i] + self.variables[i + 1:] + (upper,)
+        split = [(e[:i] + e[i + 1:], sum(e[i:i + 1]) + 1, c) for e, c in self.num.items()]
+        scale = lcm(*(k for _, k, _ in split))
+        out = {rest + (k,): c * (scale // k) for rest, k, c in split}
+        return _make(vs, out, self.den * scale)
 
     # ------------------------------------------------------------ evaluation
     def variables_used(self):
-        used = set()
-        for exps in self.terms:
-            for v, e in zip(self.variables, exps):
-                if e:
-                    used.add(v)
-        return used
+        return set(self.variables)
 
     def eval_complex(self, assignment: Mapping[str, complex]) -> complex:
         missing = self.variables_used() - set(assignment)
         if missing:
             raise ValueError(f"missing assignment for variables {sorted(missing)}")
         total = 0j
-        for exps, c in self.terms.items():
-            val = complex(c)
+        for exps, c in self.num.items():
+            val = complex(c / self.den)
             for v, e in zip(self.variables, exps):
                 if e:
                     val *= complex(assignment[v]) ** e
@@ -263,13 +295,17 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (
+            self.variables == other.variables
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.num.items())))
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         pieces = []
         for exps, c in self.canonical_terms():
@@ -296,47 +332,64 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def _canonicalize(variables, terms):
-    clean = {}
-    for exps, c in terms.items():
-        c = _norm_coeff(c)
-        if not c:
-            continue
-        if len(exps) != len(variables):
-            raise ValueError("exponent tuple length does not match variables")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
-        clean[tuple(exps)] = c
-    keep = [
-        i for i, _ in enumerate(variables) if any(e[i] for e in clean)
-    ]
-    if len(keep) != len(variables):
-        variables = tuple(variables[i] for i in keep)
-        clean = {tuple(e[i] for i in keep): c for e, c in clean.items()}
-    order = sorted(range(len(variables)), key=lambda i: _var_key(variables[i]))
+def _new(variables, num, den) -> MultiPoly:
+    """A MultiPoly from parts already in normal form."""
+    p = object.__new__(MultiPoly)
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _normal(variables, num, den):
+    """The normal form of num/den, den > 0: zero terms and unused variables
+    dropped, variables in name order, and the content gcd(den, *num)
+    divided out."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return (), {}, 1
+    keep = [i for i in range(len(variables)) if any(e[i] for e in num)]
+    order = sorted(keep, key=lambda i: _var_key(variables[i]))
     if order != list(range(len(variables))):
         variables = tuple(variables[i] for i in order)
-        clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
-    return variables, clean
+        num = {tuple(e[i] for i in order): c for e, c in num.items()}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    return variables, num, den
+
+
+def _make(variables, num, den) -> MultiPoly:
+    return _new(*_normal(variables, num, den))
+
+
+def _mul_terms(ta, tb):
+    """Product of two numerator maps over the same variables."""
+    out = {}
+    get = out.get
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return out
 
 
 def _align(a: MultiPoly, b: MultiPoly):
-    if a.variables == b.variables:
-        return a.variables, a.terms, b.terms
-    vs = tuple(sorted(set(a.variables) | set(b.variables), key=_var_key))
+    vs = a.variables
+    if vs != b.variables:
+        vs = tuple(sorted(set(vs) | set(b.variables), key=_var_key))
     return vs, _remap(a, vs), _remap(b, vs)
 
 
 def _remap(p: MultiPoly, vs):
-    pos = {v: i for i, v in enumerate(vs)}
-    idx = [pos[v] for v in p.variables]
-    out = {}
-    for exps, c in p.terms.items():
-        e = [0] * len(vs)
-        for j, ev in zip(idx, exps):
-            e[j] = ev
-        out[tuple(e)] = c
-    return out
+    """p's numerators with exponent tuples over the variable list vs, which
+    contains p's variables in the same order."""
+    if p.variables == vs:
+        return p.num
+    pos = {v: i for i, v in enumerate(p.variables)}
+    src = [pos.get(v, -1) for v in vs]  # -1 reads the 0 appended below
+    return {tuple(map((e + (0,)).__getitem__, src)): c for e, c in p.num.items()}
 
 
 def series_coeff(factor_orders: Iterable[int], k: int) -> int:

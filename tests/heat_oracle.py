@@ -7,16 +7,22 @@ t-polynomial is evaluated with ``np.polyval``, and the growth and phase
 of each mode are formed at one point before the weighted cosine and sine
 values are added up in mode order.
 
+``fourier_coefficients_fftn`` is the quadrature through the full
+complex FFT of the grid with the whole spectrum scaled, the route
+``heat.fourier_coefficients`` took before it scaled only the
+coefficients it reads.
+
 ``split_exponent_sympy`` is the independent route to the symbolic growth
 and phase split: sympy expands the exponent with z_r = I*k_r and takes
 its real and imaginary parts.
 """
 
+from itertools import product
 from typing import Dict, Sequence
 
 import numpy as np
 
-from treelie.heat import HeatSolution, XiFamily, xi_family
+from treelie.heat import HeatSolution, XiFamily, _grid_values, mode_weight, xi_family
 
 
 def complex_exponent_parts(xi: XiFamily, kappa: Sequence[float]) -> Dict[int, np.ndarray]:
@@ -79,6 +85,18 @@ def mode_sum(solution: HeatSolution, t: float, points) -> np.ndarray:
             total += mode.b * (growth * np.cos(angle)) + mode.c * (growth * np.sin(angle))
         out.append(float(total))
     return np.array(out)
+
+
+def fourier_coefficients_fftn(f, box, cutoff: int, samples: int):
+    """Weighted cosine and sine coefficients from np.fft.fftn of the grid."""
+    n = len(box)
+    spectrum = np.fft.fftn(_grid_values(f, box, samples)) * (2.0 ** n / samples ** n)
+    out = {}
+    for k in product(range(cutoff + 1), repeat=n):
+        z = spectrum[tuple(2 * kv for kv in k)]
+        w = mode_weight(k)
+        out[k] = (w * z.real, -w * z.imag)
+    return out
 
 
 def poly_to_sympy(poly):

@@ -164,7 +164,7 @@ def test_criterion_08_first_order_solver():
         if tree.n >= 3:
             fs.append(f"x1*x2*x{last}")
         for f in fs:
-            report = verify_first_order(tree, f, mode="exact")
+            report = verify_first_order(eta_family(tree), f, mode="exact")
             assert report.ok, (name, f)
     rng = np.random.default_rng(123)
     fam = eta_family(chain([1, 2]))
@@ -208,7 +208,7 @@ def test_criterion_09_heat_solver():
             tuple([2] * tree.n),
             tuple(((i * 2) % 3) + 1 for i in range(tree.n)),
         ):
-            assert verify_modes(tree, orders).ok, (name, orders)
+            assert verify_modes(xi_family(tree, orders)).ok, (name, orders)
 
     # finite-difference residual on the second-order chain
     box = (1.0, 1.0)

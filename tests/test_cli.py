@@ -124,6 +124,39 @@ class TestSolveFirst:
         assert code == 1 and "coordinates" in err
 
 
+class TestOneFamilyBuild:
+    """Each solver request builds its polynomial family once: the
+    verifier checks the family the solution was built from."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        for module, name in ((firstorder, "eta_family"), (heat, "xi_family")):
+            build = getattr(module, name)
+
+            def counting(*args, _build=build, _name=name):
+                calls.append(_name)
+                return _build(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("verify", ["exact", "numeric"])
+    def test_solve_first(self, tree_file, capsys, builds, verify):
+        path = tree_file("a3.json", chain([1, 2]))
+        argv = ["solve-first", path, "--f", "x3^2 + x1", "--t", "0.3", "--x", "0.1,0.2,0.3",
+                "--emit-eta", "--verify", verify]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["verified"] is True
+        assert builds == ["eta_family"]
+
+    def test_solve_heat(self, tree_file, capsys, builds):
+        path = tree_file("a2.json", chain([1]))
+        code, out, _ = run(_heat_argv(path), capsys)
+        assert code == 0 and json.loads(out)["verify_modes"] is True
+        assert builds == ["xi_family"]
+
+
 class TestSolveHeat:
     def test_decay_and_mode_check(self, tree_file, capsys):
         import math

@@ -16,18 +16,25 @@ from treelie import (
     e_tree,
     expressions,
     fourier_coefficients,
-    heat,
     mode_exponent,
     mode_exponent_symbolic,
     solve_heat,
+    star,
     verify_modes,
     xi_family,
 )
 from treelie.heat import _exponent_parts, _grid_values, _mode_table, _waves, mode_weight
 from treelie.polynomials import MultiPoly
 
+from . import poly_oracle
 from .corpus import CORPUS, small_trees
-from .heat_oracle import mode_exponents, mode_sum, poly_to_sympy, split_exponent_sympy
+from .heat_oracle import (
+    fourier_coefficients_fftn,
+    mode_exponents,
+    mode_sum,
+    poly_to_sympy,
+    split_exponent_sympy,
+)
 
 T = MultiPoly.var("t")
 Z1 = MultiPoly.var("z1")
@@ -67,6 +74,17 @@ class TestXiFamily:
                 assert poly.variables_used() <= allowed
                 if tree.is_tip(i):
                     assert poly == T * MultiPoly.term(1, **{f"z{i}": orders[i - 1]})
+
+    def test_corpus_matches_substitute_oracle(self):
+        # xi~ by renaming t -> y1 equals the substitution route, and so do
+        # the growth and phase exponents A and B split from it
+        for name, tree in CORPUS:
+            for orders in _order_vectors(tree.n):
+                xi = xi_family(tree, orders)
+                oracle = poly_oracle.xi_family(tree, orders)
+                assert xi.xi_tilde == oracle, (name, orders)
+                expected = mode_exponent_symbolic(dataclasses.replace(xi, xi_tilde=oracle))
+                assert mode_exponent_symbolic(xi) == expected, (name, orders)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -127,32 +145,27 @@ class TestModeExponent:
 class TestVerifyModes:
     def test_single_node(self):
         for m in (1, 2, 3):
-            assert verify_modes(chain([]), [m]).ok
+            assert verify_modes(xi_family(chain([]), [m])).ok
 
     def test_chain_second_order(self):
-        assert verify_modes(chain([1]), [2, 2]).ok
+        assert verify_modes(xi_family(chain([1]), [2, 2])).ok
 
     def test_branching_tree(self):
-        assert verify_modes(e_tree(2, 1, 1), [2, 2, 2, 2]).ok
+        assert verify_modes(xi_family(e_tree(2, 1, 1), [2, 2, 2, 2])).ok
 
     def test_corpus_order_sweeps(self):
         for _, tree in CORPUS:
             for orders in _order_vectors(tree.n):
-                check = verify_modes(tree, orders)
+                check = verify_modes(xi_family(tree, orders))
                 assert check.ok, (tree, orders, str(check.residual))
 
-    def test_wrong_exponent_is_rejected(self, monkeypatch):
+    def test_wrong_exponent_is_rejected(self):
         # xi~_1 of chain([1]), orders [2, 2], with its t^3 coefficient
         # 1/3 raised to 1/2: the identity then misses by t^2*z2^4/2
-        exact = heat.xi_family
-
-        def tampered(tree, orders):
-            xi = exact(tree, orders)
-            wrong = xi.xi_tilde[1] + T ** 3 * Z2 ** 4 * Fraction(1, 6)
-            return dataclasses.replace(xi, xi_tilde={**xi.xi_tilde, 1: wrong})
-
-        monkeypatch.setattr(heat, "xi_family", tampered)
-        check = verify_modes(chain([1]), [2, 2])
+        xi = xi_family(chain([1]), [2, 2])
+        wrong = xi.xi_tilde[1] + T ** 3 * Z2 ** 4 * Fraction(1, 6)
+        tampered = dataclasses.replace(xi, xi_tilde={**xi.xi_tilde, 1: wrong})
+        check = verify_modes(tampered)
         assert check.ok is False
         assert check.residual == T ** 2 * Z2 ** 4 * Fraction(1, 2)
 
@@ -280,6 +293,24 @@ class TestFourierCoefficients:
             got = _grid_values(f, box, samples)
             assert got.shape == (samples,) * 3
             assert np.array_equal(got, full), f
+
+    def test_coefficients_equal_full_fft_oracle(self):
+        # bit for bit: zero coefficients come out at rounding level, and
+        # the mode sum multiplies them by exp(A), up to 1e29 on star(3, 2)
+        # at t = 0.04, so u follows the FFT's rounding there
+        cases = [(name, tree, f"exp(-x1^2) + x{tree.n}*cos(3*x1) - sin(pi*x{tree.n}/2)",
+                  tuple(1.0 + 0.5 * (i % 3) for i in range(tree.n))) for name, tree in CORPUS]
+        cases.append(("star(3,2)", star(3, 2),
+                      "-1/2*sin(1*pi*x2/1.0) - 1/3*cos(2*pi*x4/1.5) + 1*sin(2*pi*x4/1.5)",
+                      (2.0, 1.0, 1.0, 1.5)))
+        for name, tree, f, box in cases:
+            for samples in (16, 32):
+                if samples ** tree.n > 1 << 20:
+                    continue
+                for cutoff in (1, 3, samples // 4):
+                    got = fourier_coefficients(f, box, cutoff, samples)
+                    assert got == fourier_coefficients_fftn(f, box, cutoff, samples), (
+                        name, samples, cutoff)
 
     def test_gridded_samples_accepted(self):
         grid = np.ones((16, 16))

@@ -2,13 +2,15 @@
 coefficient extractor."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelie.polynomials import MultiPoly, series_coeff
+
+from . import poly_oracle
 
 X1 = MultiPoly.var("x1")
 X2 = MultiPoly.var("x2")
@@ -234,3 +236,89 @@ class TestSerialization:
 
     def test_zero(self):
         assert str(MultiPoly.zero()) == "0"
+
+
+@st.composite
+def _rational_polys(draw, vars=("x1", "x2", "t")):
+    """Like _polys, with coefficients over small denominators."""
+    n_terms = draw(st.integers(min_value=0, max_value=4))
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in vars)
+        terms[exps] = Fraction(draw(_coeffs), draw(st.integers(min_value=1, max_value=6)))
+    return MultiPoly(vars, terms)
+
+
+def _assert_normal(p):
+    # one positive denominator with no factor common to every numerator
+    assert p.den > 0 and gcd(p.den, *p.num.values()) == 1
+    assert all(p.num.values())
+    assert all(any(e[i] for e in p.num) for i in range(len(p.variables)))
+
+
+def _assert_matches(p, oracle):
+    # the same value, Fraction view and hash as the oracle's, whose
+    # MultiPoly comes through the public constructor
+    _assert_normal(p)
+    assert poly_oracle.from_poly(p) == oracle
+    q = poly_oracle.to_poly(oracle)
+    assert p == q and hash(p) == hash(q)
+    assert p.terms == q.terms
+
+
+class TestIntegerKernel:
+    """Integer numerators over one denominator against the Fraction routes
+    of tests/poly_oracle.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rational_polys(), _rational_polys())
+    def test_ring_operations_match_the_oracle(self, a, b):
+        fa, fb = poly_oracle.from_poly(a), poly_oracle.from_poly(b)
+        _assert_matches(a, fa)
+        _assert_matches(a + b, poly_oracle.add(fa, fb))
+        _assert_matches(a - b, poly_oracle.add(fa, poly_oracle.neg(fb)))
+        _assert_matches(a * b, poly_oracle.mul(fa, fb))
+        _assert_matches(a ** 3, poly_oracle.power(fa, 3))
+        _assert_matches(-a, poly_oracle.neg(fa))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rational_polys(), _rational_polys(vars=("x2", "y1")), _rational_polys(vars=("t",)))
+    def test_substitute_matches_per_term_oracle(self, p, r1, r2):
+        for mapping in ({"x1": r1, "t": r2}, {"x1": r2, "x2": r1}, {"t": Fraction(-2, 3)}):
+            oracle = poly_oracle.substitute(
+                poly_oracle.from_poly(p),
+                {v: poly_oracle.from_poly(q if isinstance(q, MultiPoly) else MultiPoly.const(q))
+                 for v, q in mapping.items()},
+            )
+            _assert_matches(p.substitute(mapping), oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rational_polys(vars=("x1", "x2", "y1")))
+    def test_integrate_and_differentiate_match_the_oracle(self, p):
+        fp = poly_oracle.from_poly(p)
+        _assert_matches(p.integrate_from_zero("y1", "t"), poly_oracle.integrate_from_zero(fp, "y1", "t"))
+        _assert_matches(p.integrate_from_zero("z1", "t"), poly_oracle.integrate_from_zero(fp, "z1", "t"))
+        integral = p.integrate_from_zero("y1", "t")
+        _assert_normal(integral.differentiate("t"))
+        _assert_normal(p.differentiate("x1"))
+        _assert_normal(p.coeff_of("x2", 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rational_polys())
+    def test_monomial_maps_match_substitution(self, p):
+        fp = poly_oracle.from_poly(p)
+        renamed = p.rename({"t": "y1"})
+        _assert_matches(renamed, poly_oracle.substitute(fp, {"t": poly_oracle.var("y1")}))
+        reflected = p.reflect("t")
+        _assert_matches(reflected, poly_oracle.substitute(fp, {"t": poly_oracle.neg(poly_oracle.var("t"))}))
+
+    def test_rename_refuses_to_merge_variables(self):
+        with pytest.raises(ValueError):
+            (X1 * T).rename({"t": "x1"})
+
+    def test_denominator_is_the_content(self):
+        p = X1 * Fraction(2, 3) + T * Fraction(4, 9)
+        assert (p.den, p.num) == (9, {(1, 0): 6, (0, 1): 4})
+        q = p * Fraction(9, 2)
+        assert (q.den, q.num) == (1, {(1, 0): 3, (0, 1): 2})
+        assert MultiPoly.zero().den == 1 and (p - p) == MultiPoly.zero()
