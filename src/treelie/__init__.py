@@ -3,7 +3,7 @@ trees, the abelian ideals of their solvable extensions, and exact or
 spectral solutions of the associated evolution equations."""
 
 from .errors import ExpressionError, SizeGuardError, TreeValidationError
-from .expressions import diff_expr, evaluate, parse_expression, to_multipoly
+from .expressions import evaluate, parse_expression, to_multipoly
 from .firstorder import (
     BchCoefficients,
     EtaFamily,
@@ -42,7 +42,6 @@ from .liealg import (
     bracket,
     dim_and_nilpotence,
     enumerate_basis,
-    roots,
     verify_structure,
 )
 from .polynomials import MultiPoly, series_coeff
@@ -51,7 +50,6 @@ from .trees import (
     TreeDiagram,
     build_tree,
     chain,
-    clan,
     classify_nodes,
     e_tree,
     star,

@@ -1,4 +1,5 @@
-"""Arithmetic expression parsing, symbolic differentiation, and evaluation.
+"""Arithmetic expression parsing, float evaluation, and exact polynomial
+form.
 
 Grammar: numbers (integer or decimal), variables x1..xn, the constant pi,
 calls sin/cos/exp, operators + - * / ^ with the usual precedence
@@ -30,10 +31,8 @@ __all__ = [
     "BinOp",
     "Call",
     "parse_expression",
-    "diff_expr",
     "evaluate",
     "to_multipoly",
-    "is_polynomial",
 ]
 
 
@@ -209,87 +208,6 @@ def _parse_atom(toks, n):
     raise ExpressionError("expected a value", off)
 
 
-# ----------------------------------------------------------- differentiation
-
-
-def _num(v) -> ExprNode:
-    return Num(Fraction(v))
-
-
-def _is_const(node, value=None):
-    return isinstance(node, Num) and (value is None or node.value == value)
-
-
-def _add(a, b):
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    return BinOp("+", a, b)
-
-
-def _sub(a, b):
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    return BinOp("-", a, b)
-
-
-def _mul(a, b):
-    if _is_const(a, 0) or _is_const(b, 0):
-        return _num(0)
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
-    return BinOp("*", a, b)
-
-
-def diff_expr(node: ExprNode, var: int) -> ExprNode:
-    """Exact structural derivative with constant folding."""
-    if isinstance(node, (Num, Pi)):
-        return _num(0)
-    if isinstance(node, Var):
-        return _num(1 if node.index == var else 0)
-    if isinstance(node, Neg):
-        d = diff_expr(node.arg, var)
-        return _num(0) if _is_const(d, 0) else Neg(d)
-    if isinstance(node, Call):
-        inner = diff_expr(node.arg, var)
-        if node.fn == "sin":
-            outer = Call("cos", node.arg)
-        elif node.fn == "cos":
-            outer = Neg(Call("sin", node.arg))
-        else:
-            outer = node
-        return _mul(inner, outer)
-    if isinstance(node, BinOp):
-        a, b = node.left, node.right
-        da, db = diff_expr(a, var), diff_expr(b, var)
-        if node.op == "+":
-            return _add(da, db)
-        if node.op == "-":
-            return _sub(da, db)
-        if node.op == "*":
-            return _add(_mul(da, b), _mul(a, db))
-        if node.op == "/":
-            num = _sub(_mul(da, b), _mul(a, db))
-            return BinOp("/", num, BinOp("^", b, _num(2)))
-        if node.op == "^":
-            if not _is_const(db, 0):
-                raise ExpressionError("derivative of a non-constant exponent is unsupported")
-            if isinstance(b, Num) and b.value == 0:
-                return _num(0)
-            new_exp = _sub(b, _num(1))
-            return _mul(_mul(b, BinOp("^", a, new_exp)), da)
-    raise TypeError(f"unknown node {node!r}")
-
-
 # -------------------------------------------------------------- evaluation
 
 
@@ -327,21 +245,9 @@ def evaluate(node: ExprNode, values: Sequence[float]):
 # ------------------------------------------------------------- polynomials
 
 
-def is_polynomial(node: ExprNode) -> bool:
-    try:
-        _fold_poly(node, 0)
-        return True
-    except ExpressionError:
-        return False
-
-
-def to_multipoly(node: ExprNode, n: int) -> MultiPoly:
+def to_multipoly(node: ExprNode) -> MultiPoly:
     """Exact polynomial form; rejects pi, transcendentals, non-constant
     divisors, and non-integer exponents."""
-    return _fold_poly(node, n)
-
-
-def _fold_poly(node: ExprNode, n: int) -> MultiPoly:
     if isinstance(node, Num):
         return MultiPoly.const(node.value)
     if isinstance(node, Pi):
@@ -349,18 +255,18 @@ def _fold_poly(node: ExprNode, n: int) -> MultiPoly:
     if isinstance(node, Var):
         return MultiPoly.var(f"x{node.index}")
     if isinstance(node, Neg):
-        return -_fold_poly(node.arg, n)
+        return -to_multipoly(node.arg)
     if isinstance(node, Call):
         raise ExpressionError(f"{node.fn} is not allowed in polynomial mode")
     if isinstance(node, BinOp):
-        a = _fold_poly(node.left, n)
+        a = to_multipoly(node.left)
         if node.op == "^":
-            b = _fold_poly(node.right, n)
+            b = to_multipoly(node.right)
             c = b.constant_term()
             if b.variables_used() or c.denominator != 1 or c < 0:
                 raise ExpressionError("exponent must be a nonnegative integer")
             return a ** int(c)
-        b = _fold_poly(node.right, n)
+        b = to_multipoly(node.right)
         if node.op == "+":
             return a + b
         if node.op == "-":

@@ -5,8 +5,6 @@ The solution is a shift of the initial data along polynomial
 characteristics: u(t, x) = f(x + eta(t, x)), where eta_1 = t and each
 eta_j integrates the parent shift, eta_j(t) being the integral from 0 to
 t of (x_p + eta_p(y))^w dy for the incoming edge (p, j) of weight w.
-A companion family xi with integration running from -t to 0 satisfies
-xi_j(t) = -eta_j(-t) and is kept for the reversed factorization order.
 """
 
 from __future__ import annotations
@@ -103,12 +101,10 @@ def _compositions(total: int, parts: int):
 @dataclass(frozen=True)
 class EtaFamily:
     """Characteristic shifts: eta maps each node to a polynomial in t and
-    the strictly-smaller clan variables; xi is the companion with the
-    integration bound reflected, xi_i(t) = -eta_i(-t)."""
+    the strictly-smaller clan variables."""
 
     tree: TreeDiagram
     eta: Dict[int, MultiPoly]
-    xi: Dict[int, MultiPoly]
 
 
 def eta_family(tree: TreeDiagram) -> EtaFamily:
@@ -117,8 +113,7 @@ def eta_family(tree: TreeDiagram) -> EtaFamily:
         p = tree.parent(i)
         integrand = (MultiPoly.var(f"x{p}") + eta[p].rename({"t": "y1"})) ** tree.weight(i)
         eta[i] = integrand.integrate_from_zero("y1", "t")
-    xi = {i: -e.reflect("t") for i, e in eta.items()}
-    return EtaFamily(tree=tree, eta=eta, xi=xi)
+    return EtaFamily(tree=tree, eta=eta)
 
 
 def _shifted_point(family: EtaFamily, t: float, x: Sequence[float]) -> np.ndarray:
@@ -207,7 +202,7 @@ def verify_first_order(family: EtaFamily, f, mode: str = "exact") -> FirstOrderR
     tree = family.tree
     ast = expressions.parse_expression(f, tree.n) if isinstance(f, str) else f
     if mode == "exact":
-        fpoly = expressions.to_multipoly(ast, tree.n)
+        fpoly = expressions.to_multipoly(ast)
         shift = {
             f"x{i}": MultiPoly.var(f"x{i}") + family.eta[i]
             for i in range(1, tree.n + 1)

@@ -14,7 +14,9 @@ without being built, by a product over the tree of the assignment counts
 at each possible anchor. Downward, and in the oracle for both directions,
 ideals are the downsets of the bracket-reachability preorder of
 ``liealg.structure_table`` whose members pairwise commute, found by one
-bitmask search that counts them or records them.
+bitmask search that counts them or records them. One test on the
+structure table (``_maximality``) decides maximality for both the
+listing and ``maximal_ideals``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import reduce
 from itertools import product as iproduct
 from math import prod
 from operator import le, or_
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import SizeGuardError
 from .liealg import StructureTable, _bits, node_lattice, structure_table
@@ -228,6 +230,29 @@ def _abelian_downsets(table: StructureTable, found: Optional[List[int]] = None) 
     return rec(0, (1 << len(table.roots)) - 1, 0)
 
 
+def _maximality(table: StructureTable) -> Callable[[int], bool]:
+    """The maximality test for the abelian ideals of one algebra, as a
+    predicate on member bitmasks.
+
+    An abelian ideal I is maximal unless some index r outside it has an
+    abelian closure commuting with I: I plus that closure is then a larger
+    abelian ideal, and every larger one contains such a closure.
+    """
+    closures, commute = table.closures, table.commute
+    joinable = [not any(c & ~commute[k] for k in _bits(c)) for c in closures]
+    everything = (1 << len(closures)) - 1
+
+    def is_maximal(members: int) -> bool:
+        common = everything
+        for k in _bits(members):
+            common &= commute[k]
+        return not any(
+            joinable[r] and not closures[r] & ~common for r in _bits(common & ~members)
+        )
+
+    return is_maximal
+
+
 # ----------------------------------------------------------- constructions
 
 
@@ -275,37 +300,36 @@ def _independent_subsets(tree: TreeDiagram, ground: Sequence[int]) -> List[Tuple
 
 
 def maximal_ideals(tree: TreeDiagram, direction: str) -> List[AbelianIdeal]:
-    """The full-poset ideals of the maximal independent anchor sets,
-    filtered to be pairwise incomparable under inclusion.
+    """The maximal members of the anchor-set family: the full-poset ideals
+    of the maximal independent anchor sets that pass ``_maximality``.
 
-    Every returned ideal is inclusion-maximal among all abelian ideals.
     Upward, the family is exhaustive: each maximal abelian ideal arises
     from a maximal independent anchor set. Downward, branching trees also
-    admit maximal ideals that mix generator depths along one clan and fall
-    outside this family; the enumeration's per-ideal maximality flags
-    account for those.
+    admit maximal ideals that mix generator depths along one clan. They
+    fall outside this family, and a family member lying inside one of them
+    is dropped. The enumeration's per-ideal maximality flags mark them.
     """
     cls = classify_nodes(tree)
     ground = cls.upsilon if direction == "up" else cls.phi
+    table = structure_table(tree, direction)
+    is_maximal = _maximality(table)
+    # per ground node, the member mask of its full-poset ideal
+    node_masks = []
+    for i in ground:
+        poset = root_poset(tree, i, direction)
+        roots = _anchored_roots(poset, poset.elements, _anchors(cls, i, direction), tree.n)
+        node_masks.append(sum(1 << table.index[r] for r in roots))
     related = _ancestry(tree, ground)
     full = (1 << len(ground)) - 1
-    candidates = []
+    keep = []
     for chosen in _antichains(related)[1:]:
         # maximal: every ground node is related to some chosen node
         if reduce(or_, (related[k] for k in chosen)) != full:
             continue
-        roots = set()
-        for k in chosen:
-            i = ground[k]
-            poset = root_poset(tree, i, direction)
-            anchors = _anchors(cls, i, direction)
-            roots |= _anchored_roots(poset, poset.elements, anchors, tree.n)
-        candidates.append(frozenset(roots))
-    keep = [
-        AbelianIdeal(roots=roots, maximal=True)
-        for roots in candidates
-        if not any(roots < other for other in candidates)
-    ]
+        members = reduce(or_, (node_masks[k] for k in chosen))
+        if is_maximal(members):
+            roots = frozenset(table.roots[k] for k in _bits(members))
+            keep.append(AbelianIdeal(roots=roots, maximal=True))
     keep.sort(key=lambda ideal: ideal.canonical())
     return keep
 
@@ -443,20 +467,11 @@ def enumerate_ideals(tree: TreeDiagram, direction: str, mode: str = "list"):
         masks: List[int] = []
         _abelian_downsets(table, masks)
         found = [(m, frozenset(table.roots[k] for k in _bits(m)), None) for m in masks]
-    # an abelian ideal I is maximal unless some index r outside it has an
-    # abelian closure commuting with I: I plus that closure is then a larger
-    # abelian ideal, and every larger one contains such a closure
-    closures, commute = table.closures, table.commute
-    joinable = [not any(c & ~commute[k] for k in _bits(c)) for c in closures]
-    ideals = []
-    for members, roots, pair in found:
-        common = (1 << len(closures)) - 1
-        for k in _bits(members):
-            common &= commute[k]
-        maximal = not any(
-            joinable[r] and not closures[r] & ~common for r in _bits(common & ~members)
-        )
-        ideals.append(AbelianIdeal(roots=roots, maximal=maximal, generator_pair=pair))
+    is_maximal = _maximality(table)
+    ideals = [
+        AbelianIdeal(roots=roots, maximal=is_maximal(members), generator_pair=pair)
+        for members, roots, pair in found
+    ]
     ideals.sort(key=lambda ideal: (ideal.dim, ideal.canonical()))
     return ideals
 

@@ -26,7 +26,6 @@ __all__ = [
     "bracket",
     "enumerate_basis",
     "dim_and_nilpotence",
-    "roots",
     "root_of_monomial",
     "verify_structure",
     "structure_table",
@@ -209,15 +208,6 @@ def root_of_monomial(mono: DiffOpMonomial) -> Tuple[int, ...]:
     root = list(mono.exps)
     root[mono.dvar - 1] = -1
     return tuple(root)
-
-
-def roots(tree: TreeDiagram, direction: str):
-    """One root per basis monomial, in basis order; pairwise distinct."""
-    basis = enumerate_basis(tree, direction)
-    pairs = [(root_of_monomial(m), m) for m in basis]
-    if len({r for r, _ in pairs}) != len(pairs):
-        raise AssertionError("duplicate root in basis enumeration")
-    return pairs
 
 
 def ell(ws: Sequence[int]) -> int:

@@ -53,8 +53,8 @@ class MultiPoly:
     """Sparse exact polynomial in named variables.
 
     Supports ring arithmetic through operators, simultaneous substitution,
-    variable renaming and reflection, formal differentiation, definite
-    integration from zero, and evaluation over complex floats.
+    variable renaming, formal differentiation, definite integration from
+    zero, and evaluation over complex floats.
     """
 
     __slots__ = ("variables", "num", "den")
@@ -225,17 +225,6 @@ class MultiPoly:
         if len(set(vs)) != len(vs):
             raise ValueError(f"renaming {dict(names)} merges variables of {self.variables}")
         return _make(vs, self.num, self.den)
-
-    def reflect(self, var: str) -> "MultiPoly":
-        """p with var replaced by -var: the terms of odd degree in var flip sign."""
-        if var not in self.variables:
-            return self
-        i = self.variables.index(var)
-        return _new(
-            self.variables,
-            {e: -c if e[i] & 1 else c for e, c in self.num.items()},
-            self.den,
-        )
 
     def differentiate(self, var: str) -> "MultiPoly":
         if var not in self.variables:

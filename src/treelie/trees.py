@@ -19,7 +19,6 @@ __all__ = [
     "NodeClassification",
     "NodeWeights",
     "build_tree",
-    "clan",
     "classify_nodes",
     "weights",
     "chain",
@@ -71,9 +70,6 @@ class TreeDiagram:
     def descendants(self, i: int) -> Tuple[int, ...]:
         self._check_node(i)
         return tuple(j for j in range(i + 1, self.n + 1) if i in self.clan(j))
-
-    def is_tip(self, i: int) -> bool:
-        return not self.children(i)
 
     def edges(self) -> Tuple[Tuple[int, int, int], ...]:
         """Edges as (parent, child, weight), ordered by child."""
@@ -171,11 +167,6 @@ def build_tree(n: int, edges: Iterable[Sequence[int]]) -> TreeDiagram:
     if missing:
         raise TreeValidationError(f"missing child node {missing[0]}")
     return TreeDiagram(n, tuple(parents), tuple(wts))
-
-
-def clan(tree: TreeDiagram, i: int) -> Tuple[int, ...]:
-    """Root-to-node path of node i."""
-    return tree.clan(i)
 
 
 def classify_nodes(tree: TreeDiagram) -> NodeClassification:

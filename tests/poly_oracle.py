@@ -5,13 +5,13 @@ numerators: a polynomial here is a dict from a monomial (a sorted tuple
 of (variable, exponent) pairs, exponents positive) to a nonzero Fraction.
 ``substitute`` expands one term at a time and adds each piece to the
 sum, ``integrate_from_zero`` adds one term at a time, and the eta and
-xi~ families are built with ``substitute`` where the library renames or
-reflects variables.
+xi~ families are built with ``substitute`` where the library renames
+variables.
 """
 
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from treelie.polynomials import MultiPoly
 
@@ -91,17 +91,16 @@ def integrate_from_zero(d: dict, variable: str, upper: str) -> dict:
     return out
 
 
-def eta_family(tree) -> Tuple[Dict[int, MultiPoly], Dict[int, MultiPoly]]:
-    """(eta, xi) of ``firstorder.eta_family`` by substitution:
-    t -> y1 in the integrand and xi_i = -eta_i(t -> -t)."""
+def eta_family(tree) -> Dict[int, MultiPoly]:
+    """eta of ``firstorder.eta_family`` by substitution of t -> y1 in the
+    integrand."""
     eta = {1: var("t")}
     for i in range(2, tree.n + 1):
         p = tree.parent(i)
         shifted = substitute(eta[p], {"t": var("y1")})
         integrand = power(add(var(f"x{p}"), shifted), tree.weight(i))
         eta[i] = integrate_from_zero(integrand, "y1", "t")
-    xi = {i: neg(substitute(e, {"t": neg(var("t"))})) for i, e in eta.items()}
-    return {i: to_poly(e) for i, e in eta.items()}, {i: to_poly(e) for i, e in xi.items()}
+    return {i: to_poly(e) for i, e in eta.items()}
 
 
 def xi_family(tree, orders: Sequence[int]) -> Dict[int, MultiPoly]:

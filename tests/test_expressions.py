@@ -1,5 +1,4 @@
-"""Expression parsing, differentiation, evaluation, and polynomial
-folding."""
+"""Expression parsing, evaluation, and polynomial folding."""
 
 import math
 from fractions import Fraction
@@ -7,20 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treelie import ExpressionError, diff_expr, evaluate, parse_expression, to_multipoly
-from treelie.expressions import BinOp, Num, Pi, is_polynomial
+from treelie import ExpressionError, evaluate, parse_expression, to_multipoly
+from treelie.expressions import BinOp, Pi
 from treelie.polynomials import MultiPoly
 
 
 class TestParsing:
     def test_polynomial_expression(self):
         ast = parse_expression("x1^2*x2 + 1/3", 2)
-        assert is_polynomial(ast)
         assert evaluate(ast, [2.0, 3.0]) == pytest.approx(4 * 3 + 1 / 3)
 
     def test_analytic_expression(self):
         ast = parse_expression("sin(2*pi*x1)", 1)
-        assert not is_polynomial(ast)
         assert evaluate(ast, [0.25]) == pytest.approx(1.0)
 
     def test_variable_out_of_range(self):
@@ -35,7 +32,7 @@ class TestParsing:
 
     def test_decimals_stay_exact(self):
         ast = parse_expression("0.125*x1", 1)
-        poly = to_multipoly(ast, 1)
+        poly = to_multipoly(ast)
         assert poly == MultiPoly.var("x1") * Fraction(1, 8)
 
     def test_error_positions(self):
@@ -51,71 +48,25 @@ class TestParsing:
             parse_expression("sin x1", 1)
 
 
-class TestDifferentiation:
-    def test_product_of_monomials(self):
-        ast = parse_expression("x1^2*x2", 2)
-        d = diff_expr(ast, 1)
-        for x in ([1.0, 2.0], [0.5, -3.0]):
-            assert evaluate(d, x) == pytest.approx(2 * x[0] * x[1])
-
-    def test_chain_rule(self):
-        ast = parse_expression("sin(2*pi*x1)", 1)
-        d = diff_expr(ast, 1)
-        for v in (0.0, 0.2, -0.7):
-            assert evaluate(d, [v]) == pytest.approx(2 * math.pi * math.cos(2 * math.pi * v))
-
-    def test_absent_variable(self):
-        ast = parse_expression("x1", 2)
-        assert diff_expr(ast, 2) == Num(Fraction(0))
-
-    def test_quotient_rule(self):
-        ast = parse_expression("x1/(1+x1^2)", 1)
-        d = diff_expr(ast, 1)
-        for v in (0.3, -1.2):
-            expected = (1 - v * v) / (1 + v * v) ** 2
-            assert evaluate(d, [v]) == pytest.approx(expected)
-
-    def test_matches_central_differences(self):
-        exprs = [
-            ("exp(x1)*sin(x2) + x1^3", 2),
-            ("cos(x1*x2)/(2+x2^2)", 2),
-            ("x1^2*x2 - 4*x2 + pi", 2),
-        ]
-        rng = np.random.default_rng(11)
-        h = 1e-5
-        for text, n in exprs:
-            ast = parse_expression(text, n)
-            for var in range(1, n + 1):
-                d = diff_expr(ast, var)
-                for _ in range(5):
-                    x = rng.uniform(-1, 1, n)
-                    xp, xm = x.copy(), x.copy()
-                    xp[var - 1] += h
-                    xm[var - 1] -= h
-                    fd = (evaluate(ast, xp) - evaluate(ast, xm)) / (2 * h)
-                    sym = evaluate(d, x)
-                    assert abs(fd - sym) <= 1e-6 * max(1.0, abs(sym))
-
-
 class TestPolynomialFolding:
     def test_exact_fold(self):
-        poly = to_multipoly(parse_expression("(x1+x2)^2 - x2^2/2", 2), 2)
+        poly = to_multipoly(parse_expression("(x1+x2)^2 - x2^2/2", 2))
         x1, x2 = MultiPoly.var("x1"), MultiPoly.var("x2")
         assert poly == (x1 + x2) ** 2 - x2 ** 2 * Fraction(1, 2)
 
     def test_rejects_transcendentals(self):
         with pytest.raises(ExpressionError):
-            to_multipoly(parse_expression("sin(x1)", 1), 1)
+            to_multipoly(parse_expression("sin(x1)", 1))
         with pytest.raises(ExpressionError):
-            to_multipoly(parse_expression("pi*x1", 1), 1)
+            to_multipoly(parse_expression("pi*x1", 1))
 
     def test_rejects_variable_divisor_and_exponent(self):
         with pytest.raises(ExpressionError):
-            to_multipoly(parse_expression("1/x1", 1), 1)
+            to_multipoly(parse_expression("1/x1", 1))
         with pytest.raises(ExpressionError):
-            to_multipoly(parse_expression("x1^x1", 1), 1)
+            to_multipoly(parse_expression("x1^x1", 1))
         with pytest.raises(ExpressionError):
-            to_multipoly(parse_expression("x1^(0-2)", 1), 1)
+            to_multipoly(parse_expression("x1^(0-2)", 1))
 
     def test_pi_folds_only_at_evaluation(self):
         ast = parse_expression("2*pi", 1)

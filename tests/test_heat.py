@@ -72,7 +72,7 @@ class TestXiFamily:
                     f"z{s}" for s in (i,) + tree.descendants(i)
                 }
                 assert poly.variables_used() <= allowed
-                if tree.is_tip(i):
+                if not tree.children(i):
                     assert poly == T * MultiPoly.term(1, **{f"z{i}": orders[i - 1]})
 
     def test_corpus_matches_substitute_oracle(self):

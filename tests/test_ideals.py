@@ -1,6 +1,8 @@
 """Root posets, principal and maximal abelian ideals, full enumeration,
 and the bracket-based oracle."""
 
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from treelie import (
     SizeGuardError,
     brute_force_ideals,
+    build_tree,
     chain,
     classify_nodes,
     e_tree,
@@ -17,11 +20,19 @@ from treelie import (
     principal_ideal,
     root_poset,
 )
-from treelie.ideals import ORACLE_GUARD, _independent_subsets, count_admissible_pairs
+from treelie.ideals import LIST_GUARD, ORACLE_GUARD, _independent_subsets, count_admissible_pairs
 from treelie.liealg import structure_table
 
 from .corpus import CORPUS, A3_14, WIDE_Y, small_trees
 from .poset_oracle import OraclePoset, independent_subsets
+
+
+def _all_small_trees():
+    """Every tree on 2 to 5 nodes with edge weights 1 or 2."""
+    for n in range(2, 6):
+        for parents in product(*(range(1, c) for c in range(2, n + 1))):
+            for ws in product((1, 2), repeat=n - 1):
+                yield build_tree(n, [(p, c, w) for c, p, w in zip(range(2, n + 1), parents, ws)])
 
 
 def _members(mask):
@@ -154,6 +165,36 @@ class TestMaximalIdeals:
         for n0, n1, n2 in [(2, 1, 1), (3, 1, 1), (2, 2, 2), (3, 2, 1)]:
             t = e_tree(n0, n1, n2)
             assert len(maximal_ideals(t, "down")) == n0 + n1 * n2
+
+    def test_members_are_maximal_in_the_listing(self):
+        # no member lies inside a listed ideal, and every member is flagged
+        # maximal there; upward the members are exactly the flagged ideals
+        cases = 0
+        for t in _all_small_trees():
+            for d in ("up", "down"):
+                if len(structure_table(t, d).roots) > LIST_GUARD:
+                    continue
+                cases += 1
+                listing = enumerate_ideals(t, d)
+                flagged = {i.roots for i in listing if i.maximal}
+                members = {m.roots for m in maximal_ideals(t, d)}
+                for roots in members:
+                    assert not any(roots < i.roots for i in listing), (t, d, sorted(roots))
+                assert members <= flagged, (t, d)
+                if d == "up":
+                    assert members == flagged, t
+        assert cases == 672
+
+    def test_weighted_star_downward(self):
+        # smallest tree whose anchor-set family holds a non-maximal ideal:
+        # the anchor set {2} gives {d1, d2}, inside a larger abelian ideal
+        t = build_tree(3, [(1, 2, 1), (1, 3, 2)])
+        inner = frozenset({(-1, 0, 0), (0, -1, 0)})
+        assert any(inner < i.roots for i in enumerate_ideals(t, "down"))
+        assert [sorted(m.roots) for m in maximal_ideals(t, "down")] == [
+            [(-1, 0, 0), (-1, 0, 1), (-1, 0, 2), (-1, 1, 0)]
+        ]
+        assert len(maximal_ideals(e_tree(2, 1, 1, upper_tip_weight=2), "down")) == 2
 
     def test_results_verify_and_are_incomparable(self):
         for _, t in CORPUS:

@@ -16,9 +16,10 @@ from treelie import (
     dim_and_nilpotence,
     e_tree,
     enumerate_basis,
-    roots,
     verify_structure,
 )
+from treelie.liealg import structure_table
+
 from .corpus import CORPUS, small_trees
 from .rref_oracle import rref_structure
 
@@ -157,31 +158,29 @@ class TestNilpotence:
 
 class TestRoots:
     def test_single_edge_root_set(self):
-        pairs = roots(chain([1]), "up")
-        assert {r for r, _ in pairs} == {(-1, 0), (0, -1), (1, -1)}
+        assert set(structure_table(chain([1]), "up").roots) == {(-1, 0), (0, -1), (1, -1)}
 
     def test_first_derivative_root(self):
         for _, t in CORPUS:
-            pairs = roots(t, "up")
             root_d1 = tuple(-1 if i == 0 else 0 for i in range(t.n))
-            assert pairs[0][0] == root_d1
+            assert structure_table(t, "up").roots[0] == root_d1
 
     def test_downward_square_root_vector(self):
-        pairs = dict(roots(chain([1, 2]), "down"))
-        mono = pairs[(0, -1, 2)]
-        assert mono.exps == (0, 0, 2) and mono.dvar == 2
+        table = structure_table(chain([1, 2]), "down")
+        assert table.keys[table.index[(0, -1, 2)]] == ((0, 0, 2), 2)
 
     def test_roots_distinct(self):
         for _, t in CORPUS:
             for d in ("up", "down"):
-                rs = [r for r, _ in roots(t, d)]
+                rs = structure_table(t, d).roots
                 assert len(rs) == len(set(rs))
 
     def test_basis_elements_are_diagonal_eigenvectors(self):
         for _, t in CORPUS:
             for d in ("up", "down"):
-                for r, mono in roots(t, d):
-                    v = LieElement.monomial(t.n, 1, mono.exps, mono.dvar)
+                table = structure_table(t, d)
+                for r, (exps, dvar) in zip(table.roots, table.keys):
+                    v = LieElement.monomial(t.n, 1, exps, dvar)
                     for k in range(1, t.n + 1):
                         h = LieElement.monomial(
                             t.n, 1, tuple(int(j == k - 1) for j in range(t.n)), k

@@ -309,8 +309,6 @@ class TestIntegerKernel:
         fp = poly_oracle.from_poly(p)
         renamed = p.rename({"t": "y1"})
         _assert_matches(renamed, poly_oracle.substitute(fp, {"t": poly_oracle.var("y1")}))
-        reflected = p.reflect("t")
-        _assert_matches(reflected, poly_oracle.substitute(fp, {"t": poly_oracle.neg(poly_oracle.var("t"))}))
 
     def test_rename_refuses_to_merge_variables(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from treelie import (
     build_tree,
     chain,
     classify_nodes,
-    clan,
     e_tree,
     star,
     tree_from_dict,
@@ -67,19 +66,19 @@ class TestBuild:
 
 class TestClan:
     def test_chain_path(self):
-        assert clan(chain([1, 1, 1]), 4) == (1, 2, 3, 4)
+        assert chain([1, 1, 1]).clan(4) == (1, 2, 3, 4)
 
     def test_branching_path(self):
         t = build_tree(5, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1)])
-        assert clan(t, 5) == (1, 2, 3, 5)
+        assert t.clan(5) == (1, 2, 3, 5)
 
     def test_root(self):
         for _, t in CORPUS:
-            assert clan(t, 1) == (1,)
+            assert t.clan(1) == (1,)
 
     def test_out_of_range(self):
         with pytest.raises(TreeValidationError):
-            clan(chain([1]), 3)
+            chain([1]).clan(3)
 
     def test_recursive_consistency(self):
         for _, t in CORPUS:
