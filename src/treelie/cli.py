@@ -9,22 +9,23 @@ non-finite result, 2 desk-scale size guard.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-
-import numpy as np
 
 from . import expressions, firstorder, heat, ideals, liealg, trees
 from .errors import SizeGuardError
 
 __all__ = ["main", "run_cli"]
 
-# desk-scale size guards, checked before any work: solve-heat --csv rows,
-# and the bch order, whose work grows about as k^3 and whose coefficients
-# grow toward Python's 4300-digit str() limit
+# desk-scale size guards, checked before any work: solve-heat --csv rows;
+# the bch order, whose work grows about as k^3 and whose coefficients
+# grow toward Python's 4300-digit str() limit; and the dim of info and
+# basis, from its closed form, as verify_structure grows about as dim^2.
+# On a 2-vCPU Xeon, bch --k 1000 takes about 14 s, and verify_structure
+# 0.4 s at dim 2 076, 3.2 s at 6 092 and 7.7 s at 7 381.
 MAX_CSV_ROWS = 1_000_000
 MAX_BCH_K = 1000
+MAX_DIM = 10_000
 
 
 class _CliError(Exception):
@@ -101,10 +102,17 @@ def _load(path: str) -> trees.TreeDiagram:
         raise _CliError(f"tree file is not valid JSON: {exc}")
 
 
+def _guard_dim(tree: trees.TreeDiagram, direction: str):
+    dim, nilp = liealg.dim_and_nilpotence(tree, direction)
+    if dim > MAX_DIM:
+        raise SizeGuardError(f"dim {dim} exceeds the guard of {MAX_DIM}")
+    return dim, nilp
+
+
 def _cmd_info(ns) -> dict:
     tree = _load(ns.tree)
     cls = trees.classify_nodes(tree)
-    dim, nilp = liealg.dim_and_nilpotence(tree, ns.direction)
+    dim, nilp = _guard_dim(tree, ns.direction)
     report = liealg.verify_structure(tree, ns.direction)
     center = []
     for element in report.center_basis:
@@ -127,6 +135,7 @@ def _cmd_info(ns) -> dict:
 
 def _cmd_basis(ns) -> dict:
     tree = _load(ns.tree)
+    _guard_dim(tree, ns.direction)
     basis = liealg.enumerate_basis(tree, ns.direction)
     return {
         "direction": ns.direction,
@@ -193,13 +202,14 @@ def _cmd_solve_first(ns) -> dict:
     if len(x) != tree.n:
         raise _CliError(f"expected {tree.n} coordinates, got {len(x)}")
     ast = expressions.parse_expression(ns.f, tree.n)
-    solution = firstorder.solve_first_order(tree, ast)
-    doc = {"u": solution(ns.t, x)}
-    if ns.emit_eta:
-        doc["eta"] = [str(solution.family.eta[i]) for i in range(1, tree.n + 1)]
-    if ns.verify:
-        report = firstorder.verify_first_order(solution.family, ast, mode=ns.verify)
-        doc["verified"] = bool(report.ok)
+    with _numpy_quiet():
+        solution = firstorder.solve_first_order(tree, ast)
+        doc = {"u": solution(ns.t, x)}
+        if ns.emit_eta:
+            doc["eta"] = [str(solution.family.eta[i]) for i in range(1, tree.n + 1)]
+        if ns.verify:
+            report = firstorder.verify_first_order(solution.family, ast, mode=ns.verify)
+            doc["verified"] = bool(report.ok)
     return doc
 
 
@@ -219,21 +229,35 @@ def _cmd_solve_heat(ns) -> dict:
             f"{ns.csv_grid ** tree.n} CSV rows (grid^n) exceeds the guard of {MAX_CSV_ROWS}"
         )
     t, x = point[0], point[1:]
-    solution = heat.solve_heat(tree, orders, ns.f, box, ns.modes, ns.samples)
-    check = heat.verify_modes(solution.family)
-    doc = {
-        "u": solution(t, x),
-        "modes_used": solution.modes_used,
-        "verify_modes": bool(check.ok),
-    }
-    if ns.csv_path:
-        _dump_csv(solution, t, ns.csv_path, ns.csv_grid)
-        doc["csv"] = ns.csv_path
+    with _numpy_quiet():
+        solution = heat.solve_heat(tree, orders, ns.f, box, ns.modes, ns.samples)
+        check = heat.verify_modes(solution.family)
+        doc = {
+            "u": solution(t, x),
+            "modes_used": solution.modes_used,
+            "verify_modes": bool(check.ok),
+        }
+        if ns.csv_path:
+            _dump_csv(solution, t, ns.csv_path, ns.csv_grid)
+            doc["csv"] = ns.csv_path
     return doc
+
+
+def _numpy_quiet():
+    """numpy with its floating-point warnings off, for the two solvers,
+    the only commands that load numpy: a non-finite result fails the
+    strict JSON encoding in run_cli, so numpy need not warn on the way."""
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _dump_csv(solution: heat.HeatSolution, t: float, path: str, grid: int) -> None:
     """grid^n rows on the closed box, last coordinate fastest."""
+    import csv
+
+    import numpy as np
+
     n = solution.tree.n
     axes = [np.linspace(-a, a, grid) for a in solution.box]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
@@ -265,10 +289,7 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        # a non-finite result fails the strict JSON encoding below; numpy
-        # need not warn on the way
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            doc = _COMMANDS[ns.command](ns)
+        doc = _COMMANDS[ns.command](ns)
         text = json.dumps(doc, ensure_ascii=False, allow_nan=False) + "\n"
     except (_CliError, ValueError) as exc:  # tree and expression errors included
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import ExpressionError
 from .polynomials import MultiPoly
 
@@ -222,6 +220,8 @@ def evaluate(node: ExprNode, values: Sequence[float]):
     if isinstance(node, Neg):
         return -evaluate(node.arg, values)
     if isinstance(node, Call):
+        import numpy as np
+
         fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp}[node.fn]
         return fn(evaluate(node.arg, values))
     if isinstance(node, BinOp):

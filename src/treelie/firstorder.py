@@ -5,6 +5,9 @@ The solution is a shift of the initial data along polynomial
 characteristics: u(t, x) = f(x + eta(t, x)), where eta_1 = t and each
 eta_j integrates the parent shift, eta_j(t) being the integral from 0 to
 t of (x_p + eta_p(y))^w dy for the incoming edge (p, j) of weight w.
+
+numpy is imported inside the numeric functions, so loading this module
+(and computing eta exactly or the bch series) does not load numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
-
-import numpy as np
 
 from . import expressions
 from .polynomials import MultiPoly
@@ -118,6 +119,8 @@ def eta_family(tree: TreeDiagram) -> EtaFamily:
 
 def _shifted_point(family: EtaFamily, t: float, x: Sequence[float]) -> np.ndarray:
     """x + eta(t, x) at one time and one point."""
+    import numpy as np
+
     env = {"t": float(t)}
     env.update({f"x{i + 1}": float(v) for i, v in enumerate(x)})
     return np.array(
@@ -147,6 +150,9 @@ def solve_first_order(tree: TreeDiagram, f) -> FirstOrderSolution:
 
 
 def _vector_field(tree: TreeDiagram):
+    # field runs once per RK4 stage, so it uses this import, not its own
+    import numpy as np
+
     pw = [(tree.parent(j), tree.weight(j)) for j in range(2, tree.n + 1)]
 
     def field(x: np.ndarray) -> np.ndarray:
@@ -168,6 +174,8 @@ def flow_rk4(tree: TreeDiagram, x0, t, steps: int = RK4_STEPS) -> np.ndarray:
     result has the shape of x0. The batch integrates every start in the
     same array operations, with the arithmetic of one start at a time.
     """
+    import numpy as np
+
     field = _vector_field(tree)
     x = np.array(x0, dtype=float)
     h = np.asarray(t, dtype=float) / steps
@@ -199,6 +207,8 @@ def verify_first_order(family: EtaFamily, f, mode: str = "exact") -> FirstOrderR
     numeric: RK4 characteristics from NUMERIC_SAMPLES random starts must
     match x + eta to within the flow tolerance.
     """
+    import numpy as np
+
     tree = family.tree
     ast = expressions.parse_expression(f, tree.n) if isinstance(f, str) else f
     if mode == "exact":
@@ -256,6 +266,8 @@ def eta_general_numeric(tree: TreeDiagram, g: Mapping[int, Callable[[float], flo
     by nested adaptive Simpson quadrature with absolute tolerance 1e-9 per
     level. With g_i(v) = v**w it agrees with the exact polynomials.
     """
+    import numpy as np
+
     non_tips = {i for i in range(1, tree.n + 1) if tree.children(i)}
     missing = non_tips - set(g)
     if missing:

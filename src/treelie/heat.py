@@ -16,6 +16,9 @@ complex table of t-polynomial coefficients (node x mode x power of t),
 and ``HeatSolution`` evaluates it at t by one Horner pass, so a batch of
 P points costs one (modes x n) @ (n x P) product and one exp/cos/sin
 pass, done in chunks of at most EVAL_BLOCK mode-point entries.
+
+numpy is imported inside the functions that compute with it, so loading
+this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Dict, Sequence, Tuple, Union
-
-import numpy as np
 
 from . import expressions
 from .errors import SizeGuardError
@@ -102,6 +103,8 @@ def _mode_table(xi: XiFamily, waves: np.ndarray) -> np.ndarray:
     node i's slice is its (modes x (deg + 1)) table, zero-padded up to the
     highest t-degree of the family (every xi~ term carries a power of t).
     """
+    import numpy as np
+
     z = 1j * waves
     polys = [xi.xi_tilde[i] for i in range(1, xi.tree.n + 1)]
     deg = max(exps[p.variables.index("t")] for p in polys for exps in p.terms)
@@ -124,6 +127,8 @@ def _exponent_parts(
     """The complex exponent E = const + coeffs @ x of every mode at time t:
     const has shape (modes,), coeffs (modes, n). One Horner pass over the
     table, then each node i >= 2 lands on the x variable of its parent."""
+    import numpy as np
+
     values = table[:, :, -1]
     for p in range(table.shape[2] - 2, -1, -1):
         values = values * t + table[:, :, p]
@@ -135,6 +140,8 @@ def _exponent_parts(
 
 def _waves(ks, box: Sequence[float]) -> np.ndarray:
     """2*pi*k_r/a_r, one row per frequency vector."""
+    import numpy as np
+
     ks = np.asarray(ks, dtype=float).reshape(-1, len(box))
     return 2.0 * np.pi * ks / np.asarray(box, dtype=float)
 
@@ -221,10 +228,12 @@ def mode_weight(k: Sequence[int]) -> float:
     return 2.0 ** (-sum(1 for v in k if v == 0))
 
 
-GridFunction = Union[str, expressions.ExprNode, Callable, np.ndarray]
+GridFunction = Union[str, expressions.ExprNode, Callable, "np.ndarray"]
 
 
 def _grid_values(f: GridFunction, box: Sequence[float], samples: int) -> np.ndarray:
+    import numpy as np
+
     n = len(box)
     shape = (samples,) * n
     if isinstance(f, np.ndarray):
@@ -266,6 +275,8 @@ def fourier_coefficients(
     moves such a u by about 1 %. Another transform must give these
     coefficients bit for bit, not only to rounding.
     """
+    import numpy as np
+
     n = len(box)
     if samples < 4 * max(cutoff, 1) or samples & (samples - 1):
         raise ValueError("samples must be a power of two with samples >= 4*cutoff")
@@ -319,6 +330,8 @@ class HeatSolution:
         pass, in chunks of at most EVAL_BLOCK mode-point entries, which
         bounds the working memory whatever P is.
         """
+        import numpy as np
+
         n = self.tree.n
         points = np.asarray(x, dtype=float)
         if points.ndim not in (1, 2) or points.shape[-1] != n:
@@ -357,6 +370,8 @@ def solve_heat(
     Raises SizeGuardError when (cutoff+1)^n modes or samples^n quadrature
     points exceed MAX_MODES or MAX_QUADRATURE_POINTS.
     """
+    import numpy as np
+
     box = tuple(float(a) for a in box)
     if len(box) != tree.n or not all(0 < a < math.inf for a in box):
         raise ValueError("box must list one positive half-width per node")

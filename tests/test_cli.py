@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from treelie import chain, firstorder, heat, tree_to_dict
-from treelie.cli import MAX_BCH_K, MAX_CSV_ROWS, main
+import treelie
+from treelie import chain, firstorder, heat, liealg, tree_to_dict
+from treelie.cli import MAX_BCH_K, MAX_CSV_ROWS, MAX_DIM, main
 from treelie.heat import MAX_MODES, MAX_QUADRATURE_POINTS
 
 
@@ -74,6 +78,30 @@ class TestIdeals:
         for ideal in doc["ideals"]:
             for root in ideal["roots"]:
                 assert len(root) == 2 and root.count(-1) == 1
+
+
+class TestDimGuard:
+    """info and basis refuse an algebra past MAX_DIM from its closed-form
+    dim, before any structure or basis work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("structure work started before the size guard")
+
+        for name in ("verify_structure", "enumerate_basis"):
+            monkeypatch.setattr(liealg, name, refuse)
+
+    @pytest.mark.parametrize("command", ["info", "basis"])
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_guard_before_any_work(self, tree_file, capsys, command, direction):
+        path = tree_file("c12.json", chain([2] * 12))
+        code, out, err = run([command, path, "--direction", direction], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("size guard: dim ") and err.count("\n") == 1
+        assert str(MAX_DIM) in err
+        # dim 6 092 (the largest timed) passes, dim 29 413 does not
+        assert 6092 <= MAX_DIM < 29413
 
 
 class TestBch:
@@ -392,3 +420,88 @@ class TestSolveHeatGuards:
                           modes="10", samples="64")
         self._guarded(argv, capsys, "modes ((modes+1)^n)", MAX_MODES)
         assert 11 ** 4 > MAX_MODES >= 625
+
+
+# ------------------------------------------------- fresh interpreters
+
+# the layer modules that a traced benchmark run looks up in sys.modules
+# once treelie.cli is imported
+LAYERS = ("cli", "trees", "expressions", "polynomials", "liealg", "ideals",
+          "firstorder", "heat")
+
+# runs the CLI once, then reports on a last stderr line whether numpy was loaded
+_CHILD = (
+    "import sys\n"
+    "from treelie.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(f\"numpy loaded: {'numpy' in sys.modules}\\n\")\n"
+    "sys.exit(code)\n"
+)
+
+
+def _fresh(*args):
+    """Run python with args in a fresh interpreter that imports this
+    treelie, with every warning shown."""
+    src = os.path.dirname(os.path.dirname(treelie.__file__))
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def _fresh_cli(argv):
+    """Exit code, stdout, stderr and whether numpy was loaded, for one CLI
+    call in a fresh interpreter."""
+    proc = _fresh("-c", _CHILD, *argv)
+    err, marker = proc.stderr.rsplit("numpy loaded: ", 1)
+    return proc.returncode, proc.stdout, err, marker.strip() == "True"
+
+
+class TestFreshProcess:
+    def test_import_loads_every_layer_but_not_numpy(self):
+        proc = _fresh("-c", "import json, sys, treelie.cli; print(json.dumps(list(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert {f"treelie.{layer}" for layer in LAYERS} <= loaded
+        assert "numpy" not in loaded
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("command", [["info"], ["basis"], ["ideals", "--count-only"]])
+    def test_structure_commands_load_no_numpy(self, tree_file, command, direction):
+        path = tree_file("a3.json", chain([1, 2]))
+        code, out, err, numpy_loaded = _fresh_cli(
+            [command[0], path, "--direction", direction] + command[1:]
+        )
+        assert code == 0 and err == "" and json.loads(out)["direction"] == direction
+        assert not numpy_loaded
+
+    def test_bch_loads_no_numpy(self):
+        code, out, err, numpy_loaded = _fresh_cli(["bch", "--k", "20"])
+        assert code == 0 and err == "" and json.loads(out)["k"] == 20
+        assert not numpy_loaded
+
+    def test_solvers_load_numpy_and_succeed(self, tree_file, tmp_path):
+        path = tree_file("a2.json", chain([1]))
+        code, out, err, numpy_loaded = _fresh_cli(
+            ["solve-first", path, "--f", "sin(x2)", "--t", "0.5", "--x", "0.1,0.2",
+             "--verify", "numeric"]
+        )
+        assert code == 0 and err == "" and json.loads(out)["verified"] is True
+        assert numpy_loaded
+        target = str(tmp_path / "g.csv")
+        code, out, err, numpy_loaded = _fresh_cli(_heat_argv(path, csv=target, csv_grid="3"))
+        assert code == 0 and err == "" and json.loads(out)["csv"] == target
+        assert numpy_loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-first", "--f", "exp(1000*x1)", "--t", "0.1", "--x", "1,1"],
+        ["solve-heat", "--orders", "2,2", "--f", "exp(1000*x1)", "--box", "1,1",
+         "--modes", "2", "--samples", "16", "--eval", "0.05,0.1,0.2"],
+    ])
+    def test_overflow_is_one_error_line(self, tree_file, argv):
+        # pytest captures warnings in process, so only a fresh
+        # interpreter shows what numpy would print
+        path = tree_file("a2.json", chain([1]))
+        proc = _fresh("-m", "treelie.cli", argv[0], path, *argv[1:])
+        _assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
+        assert "not JSON compliant" in proc.stderr
