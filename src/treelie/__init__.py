@@ -55,7 +55,6 @@ from .trees import (
     star,
     tree_from_dict,
     tree_to_dict,
-    weights,
 )
 
 __version__ = "0.1.0"

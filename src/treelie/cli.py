@@ -103,6 +103,15 @@ def _load(path: str) -> trees.TreeDiagram:
 
 
 def _guard_dim(tree: trees.TreeDiagram, direction: str):
+    # every axis point m * e_s with m <= bound // coefs[s] of a node's
+    # simplex is a basis exponent, so this lower bound on dim needs none
+    # of the series work, which grows with the bound
+    low = 0
+    for i in range(1, tree.n + 1):
+        _, coefs, bound = liealg.node_simplex(tree, i, direction)
+        low += 1 + sum(bound // c for c in coefs)
+    if low > MAX_DIM:
+        raise SizeGuardError(f"dim at least {low} exceeds the guard of {MAX_DIM}")
     dim, nilp = liealg.dim_and_nilpotence(tree, direction)
     if dim > MAX_DIM:
         raise SizeGuardError(f"dim {dim} exceeds the guard of {MAX_DIM}")

@@ -3,9 +3,10 @@ attached to a weighted tree, as explicit monomial spans.
 
 The upward algebra is generated by d/dx_1 together with x_i^w d/dx_j for
 each edge (i, j) of weight w; the downward algebra by the tip derivatives
-together with x_j^w d/dx_i. Bases are enumerated from the closed-form
-lattice-simplex descriptions, and closure under the bracket is verified
-separately rather than assumed.
+together with x_j^w d/dx_i. The exponents of the basis monomials at each
+node are the lattice points of one weighted simplex, ``node_simplex``:
+the basis enumerates them and the closed-form dimension counts them.
+Closure under the bracket is verified separately rather than assumed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import prod
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .polynomials import series_coeff
-from .trees import TreeDiagram, classify_nodes, weights
+from .trees import TreeDiagram
 
 __all__ = [
     "DiffOpMonomial",
@@ -29,8 +30,6 @@ __all__ = [
     "root_of_monomial",
     "verify_structure",
     "structure_table",
-    "ell",
-    "beta",
     "lattice_points",
 ]
 
@@ -160,25 +159,48 @@ def lattice_points(coefs: Sequence[int], bound: int) -> List[Tuple[int, ...]]:
     return points
 
 
+def node_simplex(
+    tree: TreeDiagram, i: int, direction: str
+) -> Tuple[Tuple[int, ...], List[int], int]:
+    """The weighted simplex of node i, as (support, coefs, bound): the
+    exponents j of the basis monomials x^j d/dx_i are the nonnegative j
+    over the nodes of support with sum(coefs[s] * j_s) <= bound.
+
+    Upward, the support is the proper clan prefix of i, coefs[s] is the
+    product of the first s clan weights and bound the product of all of
+    them. Downward, the support is the descendants of i (ascending),
+    bound is the product of their weights and coefs[s] is bound divided
+    by the path weight from i down to support[s].
+    """
+    _check_direction(direction)
+    w = tree.edge_weights
+    if direction == "up":
+        path = tree.clan(i)
+        coefs = [1]
+        for q in path[1:]:
+            coefs.append(coefs[-1] * w[q - 2])
+        return path[:-1], coefs[:-1], coefs[-1]
+    tree._check_node(i)
+    # parents precede children, so one ascending pass reaches every descendant
+    path_weight = {i: 1}
+    for j in range(i + 1, tree.n + 1):
+        p = tree.parents[j - 2]
+        if p in path_weight:
+            path_weight[j] = path_weight[p] * w[j - 2]
+    del path_weight[i]
+    support = tuple(path_weight)
+    bound = prod(w[s - 2] for s in support)
+    return support, [bound // path_weight[s] for s in support], bound
+
+
 def node_lattice(
     tree: TreeDiagram, i: int, direction: str
 ) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
     """The nodes and exponent tuples of the basis monomials x^j d/dx_i at
-    node i, as (support, elements) with elements in ``lattice_points``
-    order.
-
-    Upward, j runs over the proper clan prefix of i inside the
-    clan-weighted simplex; downward, over the descendants of i (ascending)
-    inside the subtree-weighted simplex.
-    """
-    _check_direction(direction)
-    if direction == "up":
-        path = tree.clan(i)
-        ws = [tree.weight(q) for q in path[1:]]
-        return path[:-1], lattice_points([prod(ws[:s]) for s in range(len(ws))], prod(ws))
-    data = weights(tree, i)
-    desc = tree.descendants(i)
-    return desc, lattice_points([data.kappa_map[s] for s in desc], data.kappa)
+    node i, as (support, elements): the lattice points of
+    ``node_simplex`` in ``lattice_points`` order."""
+    support, coefs, bound = node_simplex(tree, i, direction)
+    return support, lattice_points(coefs, bound)
 
 
 def enumerate_basis(tree: TreeDiagram, direction: str) -> List[DiffOpMonomial]:
@@ -210,54 +232,30 @@ def root_of_monomial(mono: DiffOpMonomial) -> Tuple[int, ...]:
     return tuple(root)
 
 
-def ell(ws: Sequence[int]) -> int:
-    """Number of lattice points of the clan-weighted simplex for a weight
-    list, via the series coefficient of the matching geometric product."""
-    ws = list(ws)
-    if not ws:
-        return 1
-    factors = [1, 1] + [prod(ws[:s]) for s in range(1, len(ws))]
-    return series_coeff(factors, prod(ws))
-
-
-def beta(tree: TreeDiagram, i: int) -> int:
-    """Number of downward basis monomials anchored at node i."""
-    data = weights(tree, i)
-    desc = tree.descendants(i)
-    return series_coeff([1] + [data.kappa_map[s] for s in desc], data.kappa)
-
-
 def dim_and_nilpotence(tree: TreeDiagram, direction: str) -> Tuple[int, int]:
     """Closed-form dimension and lower-central-series length.
 
-    The dimension comes from exact series coefficients. The nilpotence is
-    the number of nonzero terms of the lower central series, computed from
-    the per-node height recursion: upward h(1) = 1 and
+    The dimension counts the lattice points of each node's simplex as the
+    coefficient of t^bound in 1/(1 - t) times the product of 1/(1 - t^c)
+    over its coefs, the first factor taking up the slack. The nilpotence
+    is the number of nonzero terms of the lower central series, the
+    largest per-node height: upward h(1) = 1 and
     h(i) = 1 + weight(i) * h(parent(i)); downward tips have height 1 and
     h(i) = 1 + max over children s of weight(s) * h(s).
     """
-    _check_direction(direction)
-    cls = classify_nodes(tree)
+    dim = 0
+    for i in range(1, tree.n + 1):
+        _, coefs, bound = node_simplex(tree, i, direction)
+        dim += series_coeff([1, *coefs], bound)
+    heights = [1] * (tree.n + 1)
     if direction == "up":
-        dim = 1 + sum(
-            ell([tree.weight(q) for q in cls.clans[i][1:]])
-            for i in range(2, tree.n + 1)
-        )
-        heights = {1: 1}
         for i in range(2, tree.n + 1):
             heights[i] = 1 + tree.weight(i) * heights[tree.parent(i)]
-        nilp = max(heights[t] for t in cls.tips)
     else:
-        dim = sum(beta(tree, i) for i in range(1, tree.n + 1))
-        heights = {}
-        for i in range(tree.n, 0, -1):
-            kids = cls.children[i]
-            if not kids:
-                heights[i] = 1
-            else:
-                heights[i] = 1 + max(tree.weight(s) * heights[s] for s in kids)
-        nilp = heights[1]
-    return dim, nilp
+        for i in range(tree.n, 1, -1):
+            p = tree.parent(i)
+            heights[p] = max(heights[p], 1 + tree.weight(i) * heights[i])
+    return dim, max(heights)
 
 
 # --------------------------------------------------------- structure checks

@@ -1,5 +1,5 @@
 """Weighted rooted trees stored parent-pointer style, plus the node
-classifications and weight products that the operator algebras consume.
+classifications that the operator algebras consume.
 
 Nodes are 1-based. Node 1 is the root; every node i >= 2 has a parent
 with a smaller index and a positive integer weight on its incoming edge.
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import TreeValidationError
@@ -17,10 +16,8 @@ from .errors import TreeValidationError
 __all__ = [
     "TreeDiagram",
     "NodeClassification",
-    "NodeWeights",
     "build_tree",
     "classify_nodes",
-    "weights",
     "chain",
     "e_tree",
     "star",
@@ -78,19 +75,6 @@ class TreeDiagram:
             for i in range(2, self.n + 1)
         )
 
-    def path_weight(self, i: int, j: int) -> int:
-        """Product of edge weights along the path from ancestor i down to j."""
-        self._check_node(i)
-        self._check_node(j)
-        total = 1
-        q = j
-        while q != i:
-            if q == 1:
-                raise TreeValidationError(f"node {i} is not an ancestor of node {j}")
-            total *= self.weight(q)
-            q = self.parent(q)
-        return total
-
     def _check_node(self, i: int) -> None:
         if not isinstance(i, int) or not 1 <= i <= self.n:
             raise TreeValidationError(f"node {i} out of range 1..{self.n}")
@@ -113,23 +97,6 @@ class NodeClassification:
     descendants: Dict[int, Tuple[int, ...]]
     children: Dict[int, Tuple[int, ...]]
     clans: Dict[int, Tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class NodeWeights:
-    """Per-node weight data.
-
-    series_height: 1 plus the sum, over clan prefixes ending at the node,
-    of the products of the remaining clan weights (the node's height in
-    the lower central series grading; 1 at the root).
-    kappa: product of all edge weights inside the subtree below the node.
-    kappa_map: kappa divided by the path weight from the node to each
-    descendant.
-    """
-
-    series_height: int
-    kappa: int
-    kappa_map: Dict[int, int]
 
 
 def build_tree(n: int, edges: Iterable[Sequence[int]]) -> TreeDiagram:
@@ -194,18 +161,6 @@ def classify_nodes(tree: TreeDiagram) -> NodeClassification:
         children=children,
         clans=clans,
     )
-
-
-def weights(tree: TreeDiagram, i: int) -> NodeWeights:
-    """Series height, subtree weight product, and per-descendant quotients."""
-    tree._check_node(i)
-    path = tree.clan(i)
-    ws = [tree.weight(q) for q in path[1:]]
-    height = 1 + sum(prod(ws[s:]) for s in range(len(ws)))
-    desc = tree.descendants(i)
-    kappa = prod(tree.weight(d) for d in desc)
-    kappa_map = {s: kappa // tree.path_weight(i, s) for s in desc}
-    return NodeWeights(series_height=height, kappa=kappa, kappa_map=kappa_map)
 
 
 # ------------------------------------------------------------------ builders

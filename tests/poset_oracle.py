@@ -7,15 +7,35 @@ over the proper clan prefix; downward, per descendant m, the sum of the
 exponents on the path to m times the path weights), the order compares
 value vectors componentwise pair by pair, and antichains and independent
 anchor sets grow by testing each candidate against every chosen member.
+The simplex of each node is derived here from parents and weights alone,
+and its lattice points are found by testing every point of a box.
 """
 
+from itertools import product
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from treelie.liealg import lattice_points
-from treelie.trees import TreeDiagram, weights
+from treelie.trees import TreeDiagram
 
 Element = Tuple[int, ...]
+
+
+def path_weight(tree: TreeDiagram, i: int, m: int) -> int:
+    """Product of the edge weights on the path from ancestor i down to m."""
+    total = 1
+    while m != i:
+        total *= tree.weight(m)
+        m = tree.parent(m)
+    return total
+
+
+def box_lattice(coefs: Sequence[int], bound: int) -> List[Element]:
+    """The j >= 0 with sum(coefs[s] * j_s) <= bound, by total degree and
+    then descending exponent order."""
+    box = product(*(range(bound // c + 1) for c in coefs))
+    points = [j for j in box if sum(c * x for c, x in zip(coefs, j)) <= bound]
+    points.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+    return points
 
 
 class OraclePoset:
@@ -25,7 +45,7 @@ class OraclePoset:
             support = path[:-1]
             ws = [tree.weight(q) for q in path[1:]]
             coefs = [prod(ws[:s]) for s in range(len(ws))]
-            elements = lattice_points(coefs, prod(ws))
+            elements = box_lattice(coefs, prod(ws))
             values = [
                 tuple(
                     el[s] + sum(el[e] * prod(ws[s:e]) for e in range(s + 1, len(ws)))
@@ -35,8 +55,8 @@ class OraclePoset:
             ]
         else:
             support = tree.descendants(i)
-            data = weights(tree, i)
-            elements = lattice_points([data.kappa_map[s] for s in support], data.kappa)
+            bound = prod(tree.weight(m) for m in support)
+            elements = box_lattice([bound // path_weight(tree, i, m) for m in support], bound)
             pos = {s: k for k, s in enumerate(support)}
             paths = {}
             for m in support:
@@ -47,7 +67,7 @@ class OraclePoset:
                 paths[m] = path  # nodes from m up to, not including, i
             values = [
                 tuple(
-                    sum(el[pos[r]] * tree.path_weight(r, m) for r in paths[m])
+                    sum(el[pos[r]] * path_weight(tree, r, m) for r in paths[m])
                     for m in support
                 )
                 for el in elements

@@ -103,6 +103,30 @@ class TestDimGuard:
         # dim 6 092 (the largest timed) passes, dim 29 413 does not
         assert 6092 <= MAX_DIM < 29413
 
+    @pytest.mark.parametrize("weight", [10**8, 10**11])
+    @pytest.mark.parametrize("command", ["info", "basis"])
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_lower_bound_before_any_series_work(
+        self, tree_file, capsys, monkeypatch, weight, command, direction
+    ):
+        # series_coeff would loop to the weight, or fail to allocate it
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work started before the size guard")
+
+        monkeypatch.setattr(liealg, "series_coeff", refuse)
+        path = tree_file("c1.json", chain([weight]))
+        code, out, err = run([command, path, "--direction", direction], capsys)
+        assert code == 2 and out == ""
+        assert err == f"size guard: dim at least {weight + 2} exceeds the guard of {MAX_DIM}\n"
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_exact_dim_past_a_small_lower_bound(self, tree_file, capsys, direction):
+        # the axis points of chain([2] * 6) number 247, its dim is 29 413
+        path = tree_file("c6.json", chain([2] * 6))
+        code, out, err = run(["info", path, "--direction", direction], capsys)
+        assert code == 2 and out == ""
+        assert err == f"size guard: dim 29413 exceeds the guard of {MAX_DIM}\n"
+
 
 class TestBch:
     def test_first_four(self, capsys):

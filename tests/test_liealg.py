@@ -18,9 +18,10 @@ from treelie import (
     enumerate_basis,
     verify_structure,
 )
-from treelie.liealg import structure_table
+from treelie.liealg import lattice_points, node_simplex, structure_table
 
 from .corpus import CORPUS, small_trees
+from .poset_oracle import OraclePoset
 from .rref_oracle import rref_structure
 
 # largest algebra the dense rational elimination is run on (~0.2 s each)
@@ -95,6 +96,23 @@ class TestDimension:
             for d in ("up", "down"):
                 dim, _ = dim_and_nilpotence(t, d)
                 assert dim == len(enumerate_basis(t, d))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_trees(), st.sampled_from(["up", "down"]))
+    def test_simplex_and_counts_match_the_oracle(self, tree, direction):
+        # the oracle derives each simplex from parents and weights and
+        # finds its lattice points by testing a box, sharing no code with
+        # node_simplex, lattice_points or series_coeff
+        total = 0
+        for i in range(1, tree.n + 1):
+            support, coefs, bound = node_simplex(tree, i, direction)
+            oracle = OraclePoset(tree, i, direction)
+            assert support == oracle.support
+            assert lattice_points(coefs, bound) == list(oracle.elements)
+            total += len(oracle.elements)
+        dim, nilp = dim_and_nilpotence(tree, direction)
+        assert dim == total
+        assert nilp == len(verify_structure(tree, direction).central_series_dims)
 
     def test_weighted_chain_upward_closed_form(self):
         # single weighted end edge: C(n + m - 1, m) + n (n - 1) / 2

@@ -1,5 +1,7 @@
 """Tree construction, validation, node classification, and weight data."""
 
+from math import prod
+
 import pytest
 
 from treelie import (
@@ -7,14 +9,16 @@ from treelie import (
     build_tree,
     chain,
     classify_nodes,
+    dim_and_nilpotence,
     e_tree,
     star,
     tree_from_dict,
     tree_to_dict,
-    weights,
 )
+from treelie.liealg import node_simplex
 
 from .corpus import CORPUS
+from .poset_oracle import path_weight
 
 
 class TestBuild:
@@ -122,33 +126,37 @@ class TestClassification:
 
 class TestWeights:
     def test_weighted_chain_height(self):
-        # suffix-weighted clan sums: 1 + 1*2 + 2 = 5 for the deep node
-        t = chain([1, 2])
-        assert weights(t, 3).series_height == 5
-        assert weights(t, 2).series_height == 2
-        assert weights(t, 1).series_height == 1
+        # the upward height of a chain's last node, 1 plus the suffix-weighted
+        # clan sums (1 + 1*2 + 2 = 5 on [1, 2]), is the upward nilpotence
+        assert dim_and_nilpotence(chain([1, 2]), "up")[1] == 5
+        assert dim_and_nilpotence(chain([1]), "up")[1] == 2
+        assert dim_and_nilpotence(chain([]), "up")[1] == 1
 
     def test_kappa_products(self):
         t = chain([1, 2])
-        data = weights(t, 1)
-        assert data.kappa == 2
-        assert data.kappa_map == {2: 2, 3: 1}
+        assert node_simplex(t, 1, "down") == ((2, 3), [2, 1], 2)
+        assert node_simplex(t, 2, "down") == ((3,), [1], 2)
+        assert node_simplex(t, 3, "down") == ((), [], 1)
+        assert node_simplex(t, 3, "up") == ((1, 2), [1, 1], 2)
+        assert node_simplex(chain([2, 3]), 3, "up") == ((1, 2), [1, 2], 6)
 
     def test_root_of_any_tree(self):
+        # upward, the root carries d1 alone
         for _, t in CORPUS:
-            assert weights(t, 1).series_height == 1
+            assert node_simplex(t, 1, "up") == ((), [], 1)
 
     def test_kappa_path_consistency(self):
         for _, t in CORPUS:
             for i in range(1, t.n + 1):
-                data = weights(t, i)
-                for s in t.descendants(i):
-                    assert data.kappa_map[s] * t.path_weight(i, s) == data.kappa
+                support, coefs, bound = node_simplex(t, i, "down")
+                assert support == t.descendants(i)
+                assert bound == prod(t.weight(s) for s in support)
+                for s, c in zip(support, coefs):
+                    assert c * path_weight(t, i, s) == bound
 
     def test_unit_chain_height_counts_clan(self):
-        t = chain([1, 1, 1, 1])
-        for i in range(1, 6):
-            assert weights(t, i).series_height == len(t.clan(i))
+        for k in range(5):
+            assert dim_and_nilpotence(chain([1] * k), "up")[1] == k + 1
 
 
 class TestBuilders:
