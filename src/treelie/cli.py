@@ -9,6 +9,7 @@ non-finite result, 2 desk-scale size guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,12 +21,21 @@ __all__ = ["main", "run_cli"]
 # desk-scale size guards, checked before any work: solve-heat --csv rows;
 # the bch order, whose work grows about as k^3 and whose coefficients
 # grow toward Python's 4300-digit str() limit; and the dim of info and
-# basis, from its closed form, as verify_structure grows about as dim^2.
-# On a 2-vCPU Xeon, bch --k 1000 takes about 14 s, and verify_structure
-# 0.4 s at dim 2 076, 3.2 s at 6 092 and 7.7 s at 7 381.
+# basis, from its closed form, as verify_structure grows with the number
+# of non-commuting basis pairs, about dim^2 on chains. On a 2-vCPU Xeon,
+# bch --k 1000 takes about 14 s, and verify_structure 0.44 s at dim
+# 2 076, 2.7 s at 6 092, 6.7 s at 7 381 and 13 s at 9 870.
 MAX_CSV_ROWS = 1_000_000
 MAX_BCH_K = 1000
 MAX_DIM = 10_000
+# the dim count runs one series pass per simplex coefficient up to the
+# bound: at 10^6 with 17 coefficients it takes about 1.4 s
+MAX_SIMPLEX_BOUND = 1_000_000
+# solve-first --verify exact expands f(x + eta) exactly, which grows with
+# the degree of f, with n and with the nilpotence: (x1+...+xn)^6 takes
+# 2.1 s on chain([2,2,2]) and 2.6 s on chain([1]*6), ^8 takes 16 s on
+# chain([2,2,2]) and 51 s on chain([1]*6)
+MAX_F_DEGREE = 6
 
 
 class _CliError(Exception):
@@ -37,6 +47,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@functools.cache  # one parser per process, built on the first call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="treelie", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -106,12 +117,17 @@ def _guard_dim(tree: trees.TreeDiagram, direction: str):
     # every axis point m * e_s with m <= bound // coefs[s] of a node's
     # simplex is a basis exponent, so this lower bound on dim needs none
     # of the series work, which grows with the bound
-    low = 0
-    for i in range(1, tree.n + 1):
-        _, coefs, bound = liealg.node_simplex(tree, i, direction)
-        low += 1 + sum(bound // c for c in coefs)
+    simplices = [liealg.node_simplex(tree, i, direction) for i in range(1, tree.n + 1)]
+    low = sum(1 + sum(bound // c for c in coefs) for _, coefs, bound in simplices)
     if low > MAX_DIM:
         raise SizeGuardError(f"dim at least {low} exceeds the guard of {MAX_DIM}")
+    # the lower bound caps every bound upward and on chains, but not on a
+    # branching tree downward, where the bound is a product over branches
+    for i, (_, _, bound) in enumerate(simplices, 1):
+        if bound > MAX_SIMPLEX_BOUND:
+            raise SizeGuardError(
+                f"simplex bound {bound} at node {i} exceeds the guard of {MAX_SIMPLEX_BOUND}"
+            )
     dim, nilp = liealg.dim_and_nilpotence(tree, direction)
     if dim > MAX_DIM:
         raise SizeGuardError(f"dim {dim} exceeds the guard of {MAX_DIM}")
@@ -157,19 +173,20 @@ def _cmd_basis(ns) -> dict:
 
 def _cmd_ideals(ns) -> dict:
     tree = _load(ns.tree)
-    maximal = ideals.maximal_ideals(tree, ns.direction)
+    table = liealg.structure_table(tree, ns.direction)
+    maximal = ideals.maximal_ideals(tree, ns.direction, table)
     oracle_checked = False
     if ns.count_only:
-        count = ideals.enumerate_ideals(tree, ns.direction, mode="count")
+        count = ideals.enumerate_ideals(tree, ns.direction, mode="count", table=table)
         listing = None
     else:
-        listing = ideals.enumerate_ideals(tree, ns.direction, mode="list")
+        listing = ideals.enumerate_ideals(tree, ns.direction, mode="list", table=table)
         count = len(listing)
     if ns.oracle:
-        oracle = ideals.brute_force_ideals(tree, ns.direction)
+        oracle = ideals.brute_force_ideals(tree, ns.direction, table)
         enumerated = listing
         if enumerated is None:
-            enumerated = ideals.enumerate_ideals(tree, ns.direction, mode="list")
+            enumerated = ideals.enumerate_ideals(tree, ns.direction, mode="list", table=table)
         # both listings are ordered by size, then by the sorted roots
         if [i.canonical() for i in enumerated] != oracle:
             raise AssertionError("enumeration disagrees with the downset oracle")
@@ -211,6 +228,12 @@ def _cmd_solve_first(ns) -> dict:
     if len(x) != tree.n:
         raise _CliError(f"expected {tree.n} coordinates, got {len(x)}")
     ast = expressions.parse_expression(ns.f, tree.n)
+    if ns.verify == "exact":
+        degree = expressions.degree_bound(ast)
+        if degree > MAX_F_DEGREE:
+            raise SizeGuardError(
+                f"--f degree up to {degree} exceeds the --verify exact guard of {MAX_F_DEGREE}"
+            )
     with _numpy_quiet():
         solution = firstorder.solve_first_order(tree, ast)
         doc = {"u": solution(ns.t, x)}

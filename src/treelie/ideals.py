@@ -299,7 +299,9 @@ def _independent_subsets(tree: TreeDiagram, ground: Sequence[int]) -> List[Tuple
     return [tuple(ground[k] for k in c) for c in _antichains(_ancestry(tree, ground))]
 
 
-def maximal_ideals(tree: TreeDiagram, direction: str) -> List[AbelianIdeal]:
+def maximal_ideals(
+    tree: TreeDiagram, direction: str, table: Optional[StructureTable] = None
+) -> List[AbelianIdeal]:
     """The maximal members of the anchor-set family: the full-poset ideals
     of the maximal independent anchor sets that pass ``_maximality``.
 
@@ -308,10 +310,12 @@ def maximal_ideals(tree: TreeDiagram, direction: str) -> List[AbelianIdeal]:
     admit maximal ideals that mix generator depths along one clan. They
     fall outside this family, and a family member lying inside one of them
     is dropped. The enumeration's per-ideal maximality flags mark them.
+    ``table`` is the algebra's structure table, built here when omitted.
     """
     cls = classify_nodes(tree)
     ground = cls.upsilon if direction == "up" else cls.phi
-    table = structure_table(tree, direction)
+    if table is None:
+        table = structure_table(tree, direction)
     is_maximal = _maximality(table)
     # per ground node, the member mask of its full-poset ideal
     node_masks = []
@@ -434,22 +438,26 @@ def _count_up(tree: TreeDiagram) -> int:
     return total[1]
 
 
-def enumerate_ideals(tree: TreeDiagram, direction: str, mode: str = "list"):
+def enumerate_ideals(
+    tree: TreeDiagram, direction: str, mode: str = "list", table: Optional[StructureTable] = None
+):
     """All abelian ideals, the zero ideal included.
 
     Upward the generator-data construction is used; downward the
     bracket-reachability downset search (the oracle algorithm) is the
     primary path. ``mode='count'`` returns the total only, without
     building any ideal (upward by the anchor product of ``_count_up``);
-    list mode is guarded at 24 roots.
+    list mode is guarded at 24 roots. ``table`` is the algebra's structure
+    table, built here when omitted and needed.
     """
     if mode not in ("list", "count"):
         raise ValueError(f"mode must be 'list' or 'count', got {mode!r}")
+    if mode == "count" and direction == "up":
+        return _count_up(tree)
+    if table is None:
+        table = structure_table(tree, direction)
     if mode == "count":
-        if direction == "up":
-            return _count_up(tree)
-        return _abelian_downsets(structure_table(tree, direction))
-    table = structure_table(tree, direction)
+        return _abelian_downsets(table)
     if len(table.roots) > LIST_GUARD:
         raise SizeGuardError(
             f"{len(table.roots)} roots exceeds the list-mode guard of {LIST_GUARD};"
@@ -481,10 +489,14 @@ def count_admissible_pairs(tree: TreeDiagram) -> int:
     return sum(1 for _ in _up_admissible(tree))
 
 
-def brute_force_ideals(tree: TreeDiagram, direction: str) -> List[Tuple[Root, ...]]:
+def brute_force_ideals(
+    tree: TreeDiagram, direction: str, table: Optional[StructureTable] = None
+) -> List[Tuple[Root, ...]]:
     """Oracle: canonical sorted root lists of every abelian ideal, found by
-    downset search over bracket reachability plus pairwise commutation."""
-    table = structure_table(tree, direction)
+    downset search over bracket reachability plus pairwise commutation.
+    ``table`` is the algebra's structure table, built here when omitted."""
+    if table is None:
+        table = structure_table(tree, direction)
     if len(table.roots) > ORACLE_GUARD:
         raise SizeGuardError(
             f"{len(table.roots)} roots exceeds the oracle guard of {ORACLE_GUARD}"

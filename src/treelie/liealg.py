@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import add
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .polynomials import series_coeff
@@ -299,35 +300,53 @@ def _bits(mask: int):
 
 
 def structure_table(tree: TreeDiagram, direction: str) -> StructureTable:
-    """Build the structure table of the upward or downward algebra."""
+    """Build the structure table of the upward or downward algebra.
+
+    Only the pairs that fail to commute are bracketed. They are read off
+    per-node bitmasks, an OR of at most n + 1 masks per basis element,
+    rather than found by testing every pair.
+    """
     basis = enumerate_basis(tree, direction)
     keys = tuple((m.exps, m.dvar) for m in basis)
     roots_ = tuple(root_of_monomial(m) for m in basis)
     index = {r: k for k, r in enumerate(roots_)}
     if len(index) != len(roots_):
         raise AssertionError("duplicate root in basis enumeration")
-    key_index = {key: k for k, key in enumerate(keys)}
     nb = len(keys)
+
+    # [x^a d_i, x^b d_j] is nonzero exactly when b_i > 0 or a_j > 0, so the
+    # partners of x^a d_i are holds[i] OR differentiates[j] over a_j > 0
+    holds = [0] * (tree.n + 1)
+    differentiates = [0] * (tree.n + 1)
+    for k, (exps, dvar) in enumerate(keys):
+        bit = 1 << k
+        differentiates[dvar] |= bit
+        for j, e in enumerate(exps, 1):
+            if e:
+                holds[j] |= bit
 
     closed = True
     commute = []
     ad_images = [0] * nb
     full = (1 << nb) - 1
-    for p, (exps, dvar) in enumerate(keys):
-        partners = 0
-        for q, (exps_q, dvar_q) in enumerate(keys):
-            # [x^a d_i, x^b d_j] is nonzero exactly when b_i > 0 or a_j > 0
-            if not (exps_q[dvar - 1] or exps[dvar_q - 1]):
-                continue
-            partners |= 1 << q
-            terms = [key_index.get(key) for key, _ in _bracket_monomials(exps, dvar, exps_q, dvar_q)]
-            if None in terms:
-                closed = False
-                continue
+    for (exps, dvar), root in zip(keys, roots_):
+        partners = holds[dvar]
+        for j, e in enumerate(exps, 1):
+            if e:
+                partners |= differentiates[j]
+        for q in _bits(partners):
+            exps_q, dvar_q = keys[q]
             # a two-term bracket holds x_j in its d/dx_j term, which is
-            # never a basis monomial, so a closed bracket has one term
-            (s,) = terms
-            ad_images[q] |= 1 << s
+            # never a basis monomial; a one-term bracket is a multiple of
+            # the monomial whose root is the sum of the two roots
+            if exps_q[dvar - 1] and exps[dvar_q - 1]:
+                s = None
+            else:
+                s = index.get(tuple(map(add, root, roots_[q])))
+            if s is None:
+                closed = False
+            else:
+                ad_images[q] |= 1 << s
         commute.append(full & ~partners)
 
     series = []

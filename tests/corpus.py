@@ -42,3 +42,25 @@ def small_trees(draw, max_nodes=5, max_weight=2):
         for c in range(2, n + 1)
     ]
     return build_tree(n, edges)
+
+
+# the structure ladder the benchmark's `structure` workload runs
+LADDER = [
+    ("A3_12", chain([1, 2])),
+    ("A3_21", chain([2, 1])),
+    ("A3_13", chain([1, 3])),
+    ("S3", star(3)),
+    ("S3w2", star(3, weight=2)),
+    ("E211", e_tree(2, 1, 1)),
+    ("E311", e_tree(3, 1, 1)),
+    *((f"A{n}", chain([1] * (n - 1))) for n in range(4, 13)),
+    ("W222", chain([2, 2, 2])),
+    ("W1122", chain([1, 1, 2, 2])),
+    ("E322", e_tree(3, 2, 2)),
+    ("E533", e_tree(5, 3, 3)),
+    ("S4", star(4)),
+    ("S5", star(5)),
+    ("S4w2", star(4, weight=2)),
+    ("WIDE_Y", WIDE_Y),
+    ("T6", CORPUS_BY_NAME["T6"]),
+]

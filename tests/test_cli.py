@@ -5,12 +5,20 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 
 import pytest
 
 import treelie
-from treelie import chain, firstorder, heat, liealg, tree_to_dict
-from treelie.cli import MAX_BCH_K, MAX_CSV_ROWS, MAX_DIM, main
+from treelie import build_tree, chain, expressions, firstorder, heat, ideals, liealg, tree_to_dict
+from treelie.cli import (
+    MAX_BCH_K,
+    MAX_CSV_ROWS,
+    MAX_DIM,
+    MAX_F_DEGREE,
+    MAX_SIMPLEX_BOUND,
+    main,
+)
 from treelie.heat import MAX_MODES, MAX_QUADRATURE_POINTS
 
 
@@ -119,6 +127,24 @@ class TestDimGuard:
         assert code == 2 and out == ""
         assert err == f"size guard: dim at least {weight + 2} exceeds the guard of {MAX_DIM}\n"
 
+    @pytest.mark.parametrize("command", ["info", "basis"])
+    def test_simplex_bound_before_any_series_work(self, tree_file, capsys, monkeypatch, command):
+        # the root simplex of this star has bound 2 * 3 * 5 * ... * 47 * 2,
+        # about 1.2e18, a series list no machine can hold, while its axis
+        # points number only a few hundred
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work started before the size guard")
+
+        monkeypatch.setattr(liealg, "series_coeff", refuse)
+        weights = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 2]
+        path = tree_file("star.json", build_tree(17, [(1, c, w) for c, w in enumerate(weights, 2)]))
+        code, out, err = run([command, path, "--direction", "down"], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            f"size guard: simplex bound {prod(weights)} at node 1"
+            f" exceeds the guard of {MAX_SIMPLEX_BOUND}\n"
+        )
+
     @pytest.mark.parametrize("direction", ["up", "down"])
     def test_exact_dim_past_a_small_lower_bound(self, tree_file, capsys, direction):
         # the axis points of chain([2] * 6) number 247, its dim is 29 413
@@ -174,6 +200,77 @@ class TestSolveFirst:
             ["solve-first", path, "--f", "x1", "--t", "0.1", "--x", "1.0"], capsys
         )
         assert code == 1 and "coordinates" in err
+
+
+class TestDegreeGuard:
+    """solve-first --verify exact refuses an f of high degree from its
+    syntax tree, before any polynomial is built."""
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("polynomial work started before the size guard")
+
+        monkeypatch.setattr(firstorder, "eta_family", refuse)
+        monkeypatch.setattr(expressions, "to_multipoly", refuse)
+
+    @pytest.mark.parametrize("f, degree", [
+        ("(x1+x2+x3)^20", "20"), (f"x1^{MAX_F_DEGREE} * x2", str(MAX_F_DEGREE + 1)),
+        ("x1^2^2^2^2^2^2", "inf"),
+    ])
+    def test_guard_before_any_polynomial_work(self, tree_file, capsys, no_work, f, degree):
+        path = tree_file("a3.json", chain([2, 1]))
+        argv = ["solve-first", path, "--f", f, "--t", "0.1", "--x", "0,0,0", "--verify", "exact"]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            f"size guard: --f degree up to {degree} exceeds the --verify exact guard"
+            f" of {MAX_F_DEGREE}\n"
+        )
+        # the benchmark and the tests verify f of degree 3 at most
+        assert 3 <= MAX_F_DEGREE
+
+    @pytest.mark.parametrize("verify", [[], ["--verify", "numeric"]])
+    def test_other_modes_are_not_guarded(self, tree_file, capsys, verify):
+        path = tree_file("a3.json", chain([2, 1]))
+        argv = ["solve-first", path, "--f", "(x1+x2+x3)^20", "--t", "0.1", "--x", "0,0,0.1"]
+        code, out, _ = run(argv + verify, capsys)
+        assert code == 0 and json.loads(out)["u"] > 0
+
+    def test_at_the_guard_exact_verification_runs(self, tree_file, capsys):
+        path = tree_file("a2.json", chain([1]))
+        argv = ["solve-first", path, "--f", f"(x1+x2)^{MAX_F_DEGREE}", "--t", "0.1",
+                "--x", "0,0", "--verify", "exact"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["verified"] is True
+
+
+class TestOneTablePerRequest:
+    """Each ideals request builds the structure table once and hands it
+    to the maximal ideals, the enumeration and the oracle."""
+
+    @pytest.fixture()
+    def tables(self, monkeypatch):
+        calls = []
+        build = liealg.structure_table
+
+        def counting(tree, direction):
+            calls.append(direction)
+            return build(tree, direction)
+
+        for module in (liealg, ideals):
+            monkeypatch.setattr(module, "structure_table", counting)
+        return calls
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize(
+        "flags", [["--count-only"], [], ["--oracle"], ["--count-only", "--oracle"]]
+    )
+    def test_one_table(self, tree_file, capsys, tables, direction, flags):
+        path = tree_file("a3.json", chain([1, 2]))
+        code, out, _ = run(["ideals", path, "--direction", direction] + flags, capsys)
+        assert code == 0 and json.loads(out)["oracle_checked"] is ("--oracle" in flags)
+        assert tables == [direction]
 
 
 class TestOneFamilyBuild:
@@ -529,3 +626,57 @@ class TestFreshProcess:
         proc = _fresh("-m", "treelie.cli", argv[0], path, *argv[1:])
         _assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
         assert "not JSON compliant" in proc.stderr
+
+
+
+class TestOneProcess:
+    """run_cli builds its parser once per process, on the first call, and
+    what a call prints does not depend on the calls before it."""
+
+    def test_mixed_sequence_matches_fresh_processes(self, tree_file, capsys):
+        a2 = tree_file("a2.json", chain([1]))
+        a3 = tree_file("a3.json", chain([1, 2]))
+        big = tree_file("c12.json", chain([2] * 12))
+        sequence = [
+            ["info", a3, "--direction", "down"],
+            ["bch", "--k", "x"],
+            ["basis", a3],
+            ["info"],
+            ["ideals", a3, "--oracle"],
+            ["bch", "--k", "5"],
+            ["info", big],
+            ["solve-first", a3, "--f", "x3^2 + x1", "--t", "0.3", "--x", "0.1,0.2,0.3",
+             "--emit-eta", "--verify", "exact"],
+            _heat_argv(a2),
+            ["ideals", a3, "--direction", "down", "--count-only"],
+            ["info", a3, "--direction", "down"],
+        ]
+        in_process = [run(argv, capsys) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            proc = _fresh("-m", "treelie.cli", *argv)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == fresh
+        codes = [code for code, _, _ in in_process]
+        assert codes == [0, 1, 0, 1, 0, 0, 2, 0, 0, 0, 0]
+
+    def test_parser_built_on_first_call_only(self):
+        child = (
+            "import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import treelie.cli\n"
+            "counts = [len(built)]\n"
+            "for k in ('2', '3', 'x'):\n"
+            "    treelie.cli.run_cli(['bch', '--k', k])\n"
+            "    counts.append(len(built))\n"
+            "print(*counts, file=sys.stderr)\n"
+        )
+        proc = _fresh("-c", child)
+        assert proc.returncode == 0, proc.stderr
+        at_import, first, *later = map(int, proc.stderr.split("\n")[-2].split())
+        assert at_import == 0 and first > 0 and later == [first, first]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from treelie import ExpressionError, evaluate, parse_expression, to_multipoly
-from treelie.expressions import BinOp, Pi
+from treelie.expressions import BinOp, Pi, degree_bound
 from treelie.polynomials import MultiPoly
 
 
@@ -79,3 +79,29 @@ class TestPolynomialFolding:
         ys = np.array([0.5, 0.5, 0.5])
         out = evaluate(ast, [xs, ys])
         assert np.allclose(out, xs ** 2 + ys)
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("text, bound", [
+        ("x1", 1), ("3", 0), ("x1^2*x2 + 1/3", 3), ("(x1+x2)^3/2", 3), ("x1^2^3", 8),
+        ("x1^(4/2)", 2), ("-x2^2 - x1", 2), ("(x1*x2)^0", 0), ("x1^2 - x1^2", 2),
+        ("(x1^2)^(1+2)*x2", 7), ("2^2^2^2^2^2", 0), ("x1^2^2^2^2^2^2", math.inf),
+    ])
+    def test_values(self, text, bound):
+        assert degree_bound(parse_expression(text, 2)) == bound
+
+    @pytest.mark.parametrize("text", ["sin(x1)^9", "x1^(0-1)", "x1^(1/2)", "x1^x2", "x1^(1/0)"])
+    def test_rejected_forms_count_zero(self, text):
+        ast = parse_expression(text, 2)
+        assert degree_bound(ast) == 0
+        with pytest.raises(ExpressionError):
+            to_multipoly(ast)
+
+    @pytest.mark.parametrize("text", [
+        "x1^2*x2 + 1/3", "(x1+x2)^3/2", "x1^2^3", "x1^(4/2) - x2", "(x1*x2)^0 + 1",
+        "(x1^2)^(1+2)*x2", "(x1 - x2)*(x1 + x2)^2",
+    ])
+    def test_bounds_the_polynomial_degree(self, text):
+        ast = parse_expression(text, 2)
+        poly = to_multipoly(ast)
+        assert max(sum(e) for e in poly.terms) <= degree_bound(ast)

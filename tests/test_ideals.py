@@ -371,6 +371,17 @@ class TestBruteForce:
             assert got == sorted(brute_force_ideals(t, "up"))
 
 
+class TestSharedTable:
+    def test_a_passed_table_gives_the_same_results(self):
+        for _, t in CORPUS:
+            for d in ("up", "down"):
+                table = structure_table(t, d)
+                assert maximal_ideals(t, d, table) == maximal_ideals(t, d)
+                assert brute_force_ideals(t, d, table) == brute_force_ideals(t, d)
+                for mode in ("count", "list"):
+                    assert enumerate_ideals(t, d, mode, table) == enumerate_ideals(t, d, mode)
+
+
 class TestIsAbelianIdeal:
     def test_whole_algebra_is_not_abelian(self):
         ok, cert = is_abelian_ideal(

@@ -20,9 +20,10 @@ from treelie import (
 )
 from treelie.liealg import lattice_points, node_simplex, structure_table
 
-from .corpus import CORPUS, small_trees
+from .corpus import CORPUS, LADDER, small_trees
 from .poset_oracle import OraclePoset
 from .rref_oracle import rref_structure
+from .table_oracle import pairwise_structure_table
 
 # largest algebra the dense rational elimination is run on (~0.2 s each)
 RREF_DIM = 40
@@ -238,6 +239,16 @@ class TestStructure:
     def test_matches_rref_on_random_trees(self, tree, direction):
         assume(len(enumerate_basis(tree, direction)) <= RREF_DIM)
         assert verify_structure(tree, direction) == rref_structure(tree, direction)
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("name, tree", LADDER)
+    def test_table_matches_pairwise_oracle_on_ladder(self, name, tree, direction):
+        assert structure_table(tree, direction) == pairwise_structure_table(tree, direction)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_trees(), st.sampled_from(["up", "down"]))
+    def test_table_matches_pairwise_oracle_on_random_trees(self, tree, direction):
+        assert structure_table(tree, direction) == pairwise_structure_table(tree, direction)
 
     def test_multi_tip_trees_separate_the_two_algebras(self):
         for _, t in CORPUS:
