@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import expressions, firstorder, heat, ideals, liealg, trees
@@ -269,7 +270,8 @@ def _cmd_solve_heat(ns) -> dict:
             "modes_used": solution.modes_used,
             "verify_modes": bool(check.ok),
         }
-        if ns.csv_path:
+        # a non-finite u fails the strict JSON encoding in run_cli: no CSV first
+        if ns.csv_path and math.isfinite(doc["u"]):
             _dump_csv(solution, t, ns.csv_path, ns.csv_grid)
             doc["csv"] = ns.csv_path
     return doc
@@ -285,7 +287,8 @@ def _numpy_quiet():
 
 
 def _dump_csv(solution: heat.HeatSolution, t: float, path: str, grid: int) -> None:
-    """grid^n rows on the closed box, last coordinate fastest."""
+    """grid^n rows on the closed box, last coordinate fastest; no file is
+    opened unless every value is finite."""
     import csv
 
     import numpy as np
@@ -294,6 +297,9 @@ def _dump_csv(solution: heat.HeatSolution, t: float, path: str, grid: int) -> No
     axes = [np.linspace(-a, a, grid) for a in solution.box]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     values = solution(t, points)
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise _CliError(f"u is not finite at {bad} of {len(values)} CSV grid points")
     cell = repr(float(t))
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:

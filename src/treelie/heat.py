@@ -17,6 +17,9 @@ and ``HeatSolution`` evaluates it at t by one Horner pass, so a batch of
 P points costs one (modes x n) @ (n x P) product and one exp/cos/sin
 pass, done in chunks of at most EVAL_BLOCK mode-point entries.
 
+The initial data enter through ``fourier_coefficients``, one FFT pass per
+axis that keeps only the coefficients the mode sum reads.
+
 numpy is imported inside the functions that compute with it, so loading
 this module does not load numpy.
 """
@@ -268,10 +271,17 @@ def fourier_coefficients(
     is exact to rounding for band-limited trigonometric data. Each pair is
     then scaled by the zero-component half-weighting.
 
-    Coefficients that are zero in exact arithmetic come out at rounding
-    level, and the mode sum multiplies them by exp(A), which reaches
-    1e29 on a 4-node star at t = 0.04, so there u depends on the FFT's
-    rounding: the real-input FFT, which holds every index read here,
+    Only the entries at even indices up to 2*cutoff are read, so the
+    transform runs axis by axis, last axis first as ``np.fft.fftn`` does,
+    and keeps just those indices after each pass, so each later pass has
+    at most (cutoff + 1)/samples of the full transform's lines. A 1-D pass
+    transforms every line on its own, so the entries kept are fftn's, bit
+    for bit, sign bits included.
+
+    That matters: coefficients that are zero in exact arithmetic come out
+    at rounding level, and the mode sum multiplies them by exp(A), which
+    reaches 1e29 on a 4-node star at t = 0.04, so there u depends on the
+    FFT's rounding: the real-input FFT, which holds every index read here,
     moves such a u by about 1 %. Another transform must give these
     coefficients bit for bit, not only to rounding.
     """
@@ -280,11 +290,14 @@ def fourier_coefficients(
     n = len(box)
     if samples < 4 * max(cutoff, 1) or samples & (samples - 1):
         raise ValueError("samples must be a power of two with samples >= 4*cutoff")
-    spectrum = np.fft.fftn(_grid_values(f, box, samples))
+    spectrum = _grid_values(f, box, samples)
+    read = slice(0, 2 * cutoff + 1, 2)
+    for axis in range(n - 1, -1, -1):  # fftn's order: last axis first
+        spectrum = np.fft.fft(spectrum, axis=axis)[(slice(None),) * axis + (read,)]
     scale = 2.0 ** n / samples ** n
     out: Dict[Tuple[int, ...], Tuple[float, float]] = {}
     for k in iproduct(range(cutoff + 1), repeat=n):
-        z = spectrum[tuple(2 * kv for kv in k)] * scale
+        z = spectrum[k] * scale
         w = mode_weight(k)
         out[k] = (w * z.real, -w * z.imag)
     return out

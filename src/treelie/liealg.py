@@ -1,11 +1,16 @@
 """The two nilpotent algebras of first-order differential operators
 attached to a weighted tree, as explicit monomial spans.
 
-The upward algebra is generated by d/dx_1 together with x_i^w d/dx_j for
-each edge (i, j) of weight w; the downward algebra by the tip derivatives
-together with x_j^w d/dx_i. The exponents of the basis monomials at each
-node are the lattice points of one weighted simplex, ``node_simplex``:
-the basis enumerates them and the closed-form dimension counts them.
+The upward generators are d/dx_1 together with x_i^w d/dx_j for each
+edge (i, j) of weight w; the downward ones are the tip derivatives
+together with x_j^w d/dx_i. What is computed in either direction is the
+span of the simplex monomials: the exponents of the basis monomials at
+each node are the lattice points of one weighted simplex,
+``node_simplex``, which the basis enumerates and the closed-form
+dimension counts. That span contains the algebra the generators
+generate and equals it upward and on chains; downward on a branching
+tree it can be larger (the 3-node star with weights 2, 2 spans 8
+monomials, the generators generate 7, and x2*x3*d1 is the one outside).
 Closure under the bracket is verified separately rather than assumed.
 """
 

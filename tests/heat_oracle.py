@@ -9,8 +9,9 @@ values are added up in mode order.
 
 ``fourier_coefficients_fftn`` is the quadrature through the full
 complex FFT of the grid with the whole spectrum scaled, the route
-``heat.fourier_coefficients`` took before it scaled only the
-coefficients it reads.
+``heat.fourier_coefficients`` took before it transformed axis by axis
+and kept, after each axis, only the indices it reads; the two must agree
+bit for bit.
 
 ``split_exponent_sympy`` is the independent route to the symbolic growth
 and phase split: sympy expands the exponent with z_r = I*k_r and takes

@@ -10,7 +10,9 @@ from math import prod
 import pytest
 
 import treelie
-from treelie import build_tree, chain, expressions, firstorder, heat, ideals, liealg, tree_to_dict
+from treelie import (
+    build_tree, chain, expressions, firstorder, heat, ideals, liealg, star, tree_to_dict,
+)
 from treelie.cli import (
     MAX_BCH_K,
     MAX_CSV_ROWS,
@@ -501,6 +503,33 @@ class TestSolveHeatInputs:
         code, out, err = run(_heat_argv(path, modes="-1"), capsys)
         _assert_one_line_error(code, out, err)
         assert "--modes" in err
+
+
+class TestSolveHeatNonFiniteCsv:
+    """A CSV is written only when u is finite at --eval and at every grid
+    point: otherwise the request exits 1 and leaves no file behind."""
+
+    def _argv(self, path, target, t):
+        return _heat_argv(path, orders="2,2,2,2", f="cos(pi*x1/0.5)", box="0.5,0.5,0.5,0.5",
+                          modes="3", samples="16", eval=f"{t},0,0,0,0", csv=target,
+                          csv_grid="5")
+
+    def test_non_finite_grid_values(self, tree_file, tmp_path, capsys):
+        # u at --eval is finite here, but exp(A) overflows at 250 grid points
+        path = tree_file("s3.json", star(3))
+        target = tmp_path / "g.csv"
+        code, out, err = run(self._argv(path, str(target), 0.048), capsys)
+        _assert_one_line_error(code, out, err)
+        assert err == "error: u is not finite at 250 of 625 CSV grid points\n"
+        assert not target.exists()
+
+    def test_non_finite_eval_value(self, tree_file, tmp_path, capsys):
+        path = tree_file("s3.json", star(3))
+        target = tmp_path / "g.csv"
+        code, out, err = run(self._argv(path, str(target), 0.05), capsys)
+        _assert_one_line_error(code, out, err)
+        assert "not JSON compliant" in err
+        assert not target.exists()
 
 
 class TestSolveHeatGuards:

@@ -312,6 +312,33 @@ class TestFourierCoefficients:
                     assert got == fourier_coefficients_fftn(f, box, cutoff, samples), (
                         name, samples, cutoff)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pruned_transform_equals_fftn_bit_for_bit(self, data):
+        # the sign bit too, which == does not see: -0.0 == 0.0
+        n = data.draw(st.integers(1, 4), label="n")
+        samples = data.draw(st.sampled_from([4, 8, 16, 32]), label="samples")
+        cutoff = data.draw(st.integers(0, samples // 4), label="cutoff")
+        box = tuple(data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                                       min_size=n, max_size=n), label="box"))
+        if data.draw(st.booleans(), label="gridded"):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+            f = rng.standard_normal((samples,) * n)
+            # exact and signed zeros as well as generic values
+            f[rng.random(f.shape) < 0.2] = 0.0
+            f[rng.random(f.shape) < 0.1] = -0.0
+        else:
+            terms = data.draw(st.lists(st.tuples(
+                st.integers(-3, 3), st.sampled_from(["cos", "sin"]), st.integers(0, 4),
+                st.integers(1, n), st.integers(1, n)), min_size=1, max_size=4), label="terms")
+            f = " + ".join(f"({c})*{fn}({kv}*pi*x{i}/{box[i - 1]})*x{j}"
+                           for c, fn, kv, i, j in terms)
+        got = np.array(list(fourier_coefficients(f, box, cutoff, samples).values()))
+        want = np.array(list(fourier_coefficients_fftn(f, box, cutoff, samples).values()))
+        for part in (0, 1):  # the cosine (real) and sine (imaginary) columns
+            assert np.array_equal(got[:, part], want[:, part])
+            assert np.array_equal(np.signbit(got[:, part]), np.signbit(want[:, part]))
+
     def test_gridded_samples_accepted(self):
         grid = np.ones((16, 16))
         co = fourier_coefficients(grid, (1.0, 1.0), 1, 16)

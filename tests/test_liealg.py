@@ -16,10 +16,12 @@ from treelie import (
     dim_and_nilpotence,
     e_tree,
     enumerate_basis,
+    star,
     verify_structure,
 )
 from treelie.liealg import lattice_points, node_simplex, structure_table
 
+from .closure_oracle import generated_algebra
 from .corpus import CORPUS, LADDER, small_trees
 from .poset_oracle import OraclePoset
 from .rref_oracle import rref_structure
@@ -258,6 +260,71 @@ class TestStructure:
             up = verify_structure(t, "up")
             down = verify_structure(t, "down")
             assert len(down.center_basis) == 1 < len(up.center_basis)
+
+
+# largest basis the generated-closure comparison is run on
+CLOSURE_DIM = 200
+
+
+def _span_and_generated(tree, direction):
+    """The basis keys and the generated algebra's echelon basis, after
+    checking that the basis span contains the generated algebra: the
+    basis elements are monomials, so an element lies in their span when
+    each of its keys is a basis key."""
+    keys = {(m.exps, m.dvar) for m in enumerate_basis(tree, direction)}
+    assert len(keys) <= CLOSURE_DIM
+    generated = generated_algebra(tree, direction)
+    assert all(key in keys for v in generated.values() for key in v.terms)
+    return keys, generated
+
+
+class TestGeneratedAlgebra:
+    """The basis spans the simplex monomials. That span contains the
+    algebra the generators generate, and equals it upward and on chains;
+    downward on branching trees with weights above 1 it can be larger."""
+
+    @pytest.mark.parametrize("name, tree", CORPUS + LADDER)
+    def test_upward_span_is_the_generated_algebra(self, name, tree):
+        keys, generated = _span_and_generated(tree, "up")
+        assert len(generated) == len(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_trees(max_nodes=5, max_weight=3))
+    def test_upward_span_is_the_generated_algebra_on_random_trees(self, tree):
+        assume(dim_and_nilpotence(tree, "up")[0] <= CLOSURE_DIM)
+        keys, generated = _span_and_generated(tree, "up")
+        assert len(generated) == len(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_trees(max_nodes=5, max_weight=3))
+    def test_downward_span_contains_the_generated_algebra(self, tree):
+        assume(dim_and_nilpotence(tree, "down")[0] <= CLOSURE_DIM)
+        _span_and_generated(tree, "down")
+
+    @pytest.mark.parametrize(
+        "weights", [[], [1], [3], [2, 1], [1, 3], [2, 2, 2], [1, 1, 2, 2], [3, 1, 2], [1] * 11]
+    )
+    def test_downward_span_is_the_generated_algebra_on_chains(self, weights):
+        keys, generated = _span_and_generated(chain(weights), "down")
+        assert len(generated) == len(keys)
+
+    def test_weighted_star_downward_span_is_larger(self):
+        # the 3-node star with weights 2, 2: x2*x3*d1 is a basis monomial
+        # but no iterated bracket of d2, d3, x2^2*d1 and x3^2*d1
+        tree = star(2, weight=2)
+        keys, generated = _span_and_generated(tree, "down")
+        assert (len(keys), len(generated)) == (8, 7)
+        outside = keys - set(generated)
+        assert outside == {((0, 1, 1), 1)}
+        assert str(LieElement(3, {key: 1 for key in outside})) == "x2*x3*d1"
+        assert verify_structure(tree, "down").closure
+        keys, generated = _span_and_generated(tree, "up")
+        assert len(generated) == len(keys)
+
+    @pytest.mark.parametrize("name, sizes", [("S3w2", (13, 10)), ("S4w2", (19, 13))])
+    def test_benchmark_stars_downward(self, name, sizes):
+        keys, generated = _span_and_generated(dict(LADDER)[name], "down")
+        assert (len(keys), len(generated)) == sizes
 
 
 @st.composite
