@@ -38,8 +38,6 @@ from .ideals import (
 )
 from .liealg import (
     DiffOpMonomial,
-    LieElement,
-    bracket,
     dim_and_nilpotence,
     enumerate_basis,
     verify_structure,

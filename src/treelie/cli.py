@@ -21,8 +21,8 @@ __all__ = ["main", "run_cli"]
 
 # desk-scale size guards, checked before any work: solve-heat --csv rows;
 # the bch order, whose work grows about as k^3 and whose coefficients
-# grow toward Python's 4300-digit str() limit; and the dim of info and
-# basis, from its closed form, as verify_structure grows with the number
+# grow toward Python's 4300-digit str() limit; and the dim of info, basis
+# and ideals, from its closed form, as structure_table grows with the number
 # of non-commuting basis pairs, about dim^2 on chains. On a 2-vCPU Xeon,
 # bch --k 1000 takes about 14 s, and verify_structure 0.44 s at dim
 # 2 076, 2.7 s at 6 092, 6.7 s at 7 381 and 13 s at 9 870.
@@ -137,13 +137,11 @@ def _guard_dim(tree: trees.TreeDiagram, direction: str):
 
 def _cmd_info(ns) -> dict:
     tree = _load(ns.tree)
-    cls = trees.classify_nodes(tree)
     dim, nilp = _guard_dim(tree, ns.direction)
+    cls = trees.classify_nodes(tree)
     report = liealg.verify_structure(tree, ns.direction)
-    center = []
-    for element in report.center_basis:
-        ((exps, dvar),) = element.terms.keys()  # center vectors are plain derivatives
-        center.append(f"d{dvar}")
+    # the center is spanned by plain derivatives
+    center = [f"d{dvar}" for _, dvar in report.center_basis]
     return {
         "n": tree.n,
         "direction": ns.direction,
@@ -167,13 +165,14 @@ def _cmd_basis(ns) -> dict:
         "direction": ns.direction,
         "dim": len(basis),
         "basis": [
-            {"coeff": str(m.coeff), "exps": list(m.exps), "d": m.dvar} for m in basis
+            {"coeff": "1", "exps": list(m.exps), "d": m.dvar} for m in basis
         ],
     }
 
 
 def _cmd_ideals(ns) -> dict:
     tree = _load(ns.tree)
+    _guard_dim(tree, ns.direction)
     table = liealg.structure_table(tree, ns.direction)
     maximal = ideals.maximal_ideals(tree, ns.direction, table)
     oracle_checked = False

@@ -183,14 +183,15 @@ def _anchors(cls: NodeClassification, i: int, direction: str) -> Tuple[int, ...]
 
 
 def _anchored_roots(
-    poset: RootPoset, elements: Iterable[Tuple[int, ...]], anchors: Iterable[int], n: int
+    support: Sequence[int], elements: Iterable[Tuple[int, ...]], anchors: Iterable[int], n: int
 ) -> Set[Root]:
-    """Roots of the monomials x^el d/dx_m for every el in elements and m
-    in anchors; anchors and the poset support are disjoint."""
+    """Roots of the monomials x^el d/dx_m for every el in elements, read
+    over the nodes of support, and m in anchors; anchors and support are
+    disjoint."""
     out = set()
     for el in elements:
         vec = [0] * n
-        for node, e in zip(poset.support, el):
+        for node, e in zip(support, el):
             vec[node - 1] = e
         for m in anchors:
             root = vec.copy()
@@ -273,7 +274,7 @@ def principal_ideal(tree: TreeDiagram, i: int, j: Tuple[int, ...], direction: st
     if direction == "down" and i not in cls.phi:
         raise ValueError(f"node {i} sits below a weighted edge")
     roots = frozenset(
-        _anchored_roots(poset, poset.downset([j]), _anchors(cls, i, direction), tree.n)
+        _anchored_roots(poset.support, poset.downset([j]), _anchors(cls, i, direction), tree.n)
     )
     ideal = AbelianIdeal(roots=roots)
     ok, cert = is_abelian_ideal(tree, direction, roots)
@@ -320,8 +321,8 @@ def maximal_ideals(
     # per ground node, the member mask of its full-poset ideal
     node_masks = []
     for i in ground:
-        poset = root_poset(tree, i, direction)
-        roots = _anchored_roots(poset, poset.elements, _anchors(cls, i, direction), tree.n)
+        support, elements = node_lattice(tree, i, direction)
+        roots = _anchored_roots(support, elements, _anchors(cls, i, direction), tree.n)
         node_masks.append(sum(1 << table.index[r] for r in roots))
     related = _ancestry(tree, ground)
     full = (1 << len(ground)) - 1
@@ -398,7 +399,7 @@ def _up_admissible(tree: TreeDiagram):
             base = set() if r == i else set(pis[tree.parent(r)])
             base.update(poset.downset(assignment[r]))
             pis[r] = base
-            roots |= _anchored_roots(poset, base, (r,), tree.n)
+            roots |= _anchored_roots(poset.support, base, (r,), tree.n)
         return roots
 
     anchor_sets = [s for s in _independent_subsets(tree, cls.upsilon) if s]

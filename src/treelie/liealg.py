@@ -17,7 +17,6 @@ Closure under the bracket is verified separately rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from operator import add
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -25,12 +24,13 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from .polynomials import series_coeff
 from .trees import TreeDiagram
 
+# a basis monomial x^exps d/dx_dvar as (exps, dvar)
+Key = Tuple[Tuple[int, ...], int]
+
 __all__ = [
     "DiffOpMonomial",
-    "LieElement",
     "StructureReport",
     "StructureTable",
-    "bracket",
     "enumerate_basis",
     "dim_and_nilpotence",
     "root_of_monomial",
@@ -41,106 +41,10 @@ __all__ = [
 
 
 class DiffOpMonomial(NamedTuple):
-    """coeff * x^exps * d/dx_dvar with an exact rational coefficient."""
+    """The basis monomial x^exps * d/dx_dvar."""
 
-    coeff: Fraction
     exps: Tuple[int, ...]
     dvar: int
-
-    def __str__(self):
-        body = "*".join(
-            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-            for i, e in enumerate(self.exps)
-            if e
-        )
-        c = "" if self.coeff == 1 else f"{self.coeff}*"
-        return f"{c}{body + '*' if body else ''}d{self.dvar}"
-
-
-def _bracket_monomials(a_exps, a_d, b_exps, b_d):
-    """[x^a d_i, x^b d_j] as a list of ((exps, dvar), integer coefficient)."""
-    out = []
-    bi = b_exps[a_d - 1]
-    if bi:
-        e = list(a_exps)
-        for k, v in enumerate(b_exps):
-            e[k] += v
-        e[a_d - 1] -= 1
-        out.append(((tuple(e), b_d), bi))
-    aj = a_exps[b_d - 1]
-    if aj:
-        e = list(a_exps)
-        for k, v in enumerate(b_exps):
-            e[k] += v
-        e[b_d - 1] -= 1
-        out.append(((tuple(e), a_d), -aj))
-    return out
-
-
-class LieElement:
-    """Exact rational combination of operator monomials x^a d/dx_j."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Dict[Tuple[Tuple[int, ...], int], Fraction] = None):
-        self.n = n
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[key] = c
-        self.terms = clean
-
-    @classmethod
-    def monomial(cls, n: int, coeff, exps: Sequence[int], dvar: int) -> "LieElement":
-        return cls(n, {(tuple(exps), dvar): Fraction(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched variable counts")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LieElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LieElement":
-        c = Fraction(c)
-        return LieElement(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, LieElement) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (exps, d), c in sorted(self.terms.items()):
-            parts.append(str(DiffOpMonomial(c, exps, d)))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Commutator, extended bilinearly from the monomial rule."""
-    if a.n != b.n:
-        raise ValueError("mismatched variable counts")
-    out: Dict[Tuple[Tuple[int, ...], int], Fraction] = {}
-    for (ae, ad), ac in a.terms.items():
-        for (be, bd), bc in b.terms.items():
-            for key, mult in _bracket_monomials(ae, ad, be, bd):
-                out[key] = out.get(key, Fraction(0)) + ac * bc * mult
-    return LieElement(a.n, out)
 
 
 def lattice_points(coefs: Sequence[int], bound: int) -> List[Tuple[int, ...]]:
@@ -218,14 +122,13 @@ def enumerate_basis(tree: TreeDiagram, direction: str) -> List[DiffOpMonomial]:
     simplex, which leaves exactly the plain derivatives at the tips.
     """
     out: List[DiffOpMonomial] = []
-    one = Fraction(1)
     for i in range(1, tree.n + 1):
         support, elements = node_lattice(tree, i, direction)
         for el in elements:
             exps = [0] * tree.n
             for node, e in zip(support, el):
                 exps[node - 1] = e
-            out.append(DiffOpMonomial(one, tuple(exps), i))
+            out.append(DiffOpMonomial(tuple(exps), i))
     return out
 
 
@@ -286,7 +189,7 @@ class StructureTable:
     ``closures[q]``: q and everything reached from it by repeated brackets.
     """
 
-    keys: Tuple[Tuple[Tuple[int, ...], int], ...]
+    keys: Tuple[Key, ...]
     roots: Tuple[Tuple[int, ...], ...]
     index: Dict[Tuple[int, ...], int]
     closed: bool
@@ -393,7 +296,7 @@ def structure_table(tree: TreeDiagram, direction: str) -> StructureTable:
 class StructureReport:
     closure: bool
     central_series_dims: Tuple[int, ...]
-    center_basis: Tuple[LieElement, ...]
+    center_basis: Tuple[Key, ...]
 
 
 def verify_structure(tree: TreeDiagram, direction: str) -> StructureReport:
@@ -403,16 +306,13 @@ def verify_structure(tree: TreeDiagram, direction: str) -> StructureReport:
     is itself a basis monomial. The series terms C_{k+1} = [g, C_k] and
     the center (the common kernel of all ad maps) are spans of basis
     monomials, read off the structure table as index sets: the dimensions
-    are their sizes and the center is returned as unit elements in basis
-    order. A failed check is reported, never raised.
+    are their sizes and the center is returned as the keys (exps, dvar) of
+    its basis elements, in basis order. A failed check is reported, never
+    raised.
     """
     table = structure_table(tree, direction)
     full = (1 << len(table.keys)) - 1
-    center = tuple(
-        LieElement(tree.n, {key: 1})
-        for key, commute in zip(table.keys, table.commute)
-        if commute == full
-    )
+    center = tuple(key for key, commute in zip(table.keys, table.commute) if commute == full)
     return StructureReport(
         closure=table.closed,
         central_series_dims=tuple(mask.bit_count() for mask in table.central_series),

@@ -66,7 +66,14 @@ class TreeDiagram:
 
     def descendants(self, i: int) -> Tuple[int, ...]:
         self._check_node(i)
-        return tuple(j for j in range(i + 1, self.n + 1) if i in self.clan(j))
+        # parents precede children, so one ascending pass reaches every descendant
+        inside = {i}
+        out = []
+        for j in range(i + 1, self.n + 1):
+            if self.parents[j - 2] in inside:
+                inside.add(j)
+                out.append(j)
+        return tuple(out)
 
     def edges(self) -> Tuple[Tuple[int, int, int], ...]:
         """Edges as (parent, child, weight), ordered by child."""

@@ -4,7 +4,7 @@
 simplex and never brackets anything. This oracle starts from the
 generators alone: upward d/dx_1 and x_i^w d/dx_j for each edge (i, j) of
 weight w, downward the tip derivatives and x_j^w d/dx_i. It closes their
-span under ad of the generators with ``liealg.bracket``, keeping an
+span under ad of the generators with ``lie_oracle.bracket``, keeping an
 echelon basis over the rationals. A subspace that holds the generators
 and is closed under their ad maps holds every iterated bracket of them,
 so the result spans the generated algebra.
@@ -12,7 +12,7 @@ so the result spans the generated algebra.
 
 from typing import Dict, List, Tuple
 
-from treelie.liealg import LieElement, bracket
+from .lie_oracle import LieElement, bracket
 
 Key = Tuple[Tuple[int, ...], int]
 

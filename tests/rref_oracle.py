@@ -4,13 +4,16 @@ The same questions ``liealg.verify_structure`` answers from the
 root-graded structure table, answered without using the grading: every
 bracket of two basis monomials is expanded into coefficient vectors, the
 lower central series is spanned and reduced by Gaussian elimination over
-the rationals, and the center is the null space of all ad maps stacked.
+the rationals, and the center is the null space of all ad maps stacked,
+reported as basis keys like ``verify_structure`` reports it.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from treelie.liealg import LieElement, StructureReport, _bracket_monomials, enumerate_basis
+from treelie.liealg import StructureReport, enumerate_basis
+
+from .lie_oracle import LieElement, _bracket_monomials
 
 
 def rref_structure(tree, direction) -> StructureReport:
@@ -68,15 +71,22 @@ def rref_structure(tree, direction) -> StructureReport:
                 rows.setdefault(idx, [Fraction(0)] * nb)[j] += mult
         stacked.extend(rows.values())
     kernel = nullspace(rref(stacked), nb)
-    center = tuple(
-        LieElement(tree.n, {keys[j]: c for j, c in enumerate(vec) if c})
-        for vec in rref(kernel)
-    )
+    center = tuple(_as_key(tree.n, keys, vec) for vec in rref(kernel))
     return StructureReport(
         closure=closure,
         central_series_dims=tuple(dims),
         center_basis=center,
     )
+
+
+def _as_key(n, keys, vec):
+    """The basis key of a unit kernel vector; any other vector stays a
+    LieElement, which equals no key, so a center that is not spanned by
+    basis elements fails the comparison."""
+    support = [j for j, c in enumerate(vec) if c]
+    if len(support) == 1 and vec[support[0]] == 1:
+        return keys[support[0]]
+    return LieElement(n, {keys[j]: vec[j] for j in support})
 
 
 def rref(rows):

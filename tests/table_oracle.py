@@ -7,12 +7,9 @@ for every ordered pair (p, q) it tests whether the bracket is nonzero
 central series and the bracket closures from the images it collected.
 """
 
-from treelie.liealg import (
-    StructureTable,
-    _bracket_monomials,
-    enumerate_basis,
-    root_of_monomial,
-)
+from treelie.liealg import StructureTable, enumerate_basis, root_of_monomial
+
+from .lie_oracle import _bracket_monomials
 
 
 def pairwise_structure_table(tree, direction) -> StructureTable:

@@ -11,7 +11,7 @@ import pytest
 
 import treelie
 from treelie import (
-    build_tree, chain, expressions, firstorder, heat, ideals, liealg, star, tree_to_dict,
+    build_tree, chain, expressions, firstorder, heat, ideals, liealg, star, tree_to_dict, trees,
 )
 from treelie.cli import (
     MAX_BCH_K,
@@ -91,18 +91,19 @@ class TestIdeals:
 
 
 class TestDimGuard:
-    """info and basis refuse an algebra past MAX_DIM from its closed-form
-    dim, before any structure or basis work."""
+    """info, basis and ideals refuse an algebra past MAX_DIM from its
+    closed-form dim, before any structure, basis or classification work."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("structure work started before the size guard")
 
-        for name in ("verify_structure", "enumerate_basis"):
+        for name in ("verify_structure", "enumerate_basis", "structure_table"):
             monkeypatch.setattr(liealg, name, refuse)
+        monkeypatch.setattr(trees, "classify_nodes", refuse)
 
-    @pytest.mark.parametrize("command", ["info", "basis"])
+    @pytest.mark.parametrize("command", ["info", "basis", "ideals"])
     @pytest.mark.parametrize("direction", ["up", "down"])
     def test_guard_before_any_work(self, tree_file, capsys, command, direction):
         path = tree_file("c12.json", chain([2] * 12))
@@ -114,7 +115,7 @@ class TestDimGuard:
         assert 6092 <= MAX_DIM < 29413
 
     @pytest.mark.parametrize("weight", [10**8, 10**11])
-    @pytest.mark.parametrize("command", ["info", "basis"])
+    @pytest.mark.parametrize("command", ["info", "basis", "ideals"])
     @pytest.mark.parametrize("direction", ["up", "down"])
     def test_lower_bound_before_any_series_work(
         self, tree_file, capsys, monkeypatch, weight, command, direction
@@ -129,7 +130,7 @@ class TestDimGuard:
         assert code == 2 and out == ""
         assert err == f"size guard: dim at least {weight + 2} exceeds the guard of {MAX_DIM}\n"
 
-    @pytest.mark.parametrize("command", ["info", "basis"])
+    @pytest.mark.parametrize("command", ["info", "basis", "ideals"])
     def test_simplex_bound_before_any_series_work(self, tree_file, capsys, monkeypatch, command):
         # the root simplex of this star has bound 2 * 3 * 5 * ... * 47 * 2,
         # about 1.2e18, a series list no machine can hold, while its axis
@@ -154,6 +155,18 @@ class TestDimGuard:
         code, out, err = run(["info", path, "--direction", direction], capsys)
         assert code == 2 and out == ""
         assert err == f"size guard: dim 29413 exceeds the guard of {MAX_DIM}\n"
+
+    @pytest.mark.parametrize(
+        "command, nodes", [(["info"], 1000), (["ideals", "--count-only"], 300)], ids=["info", "ideals"]
+    )
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_long_unit_chain(self, tree_file, capsys, command, nodes, direction):
+        # a unit chain's axis points number n(n + 1)/2 in either direction
+        path = tree_file("chain.json", chain([1] * (nodes - 1)))
+        code, out, err = run([command[0], path, "--direction", direction, *command[1:]], capsys)
+        assert code == 2 and out == ""
+        low = nodes * (nodes + 1) // 2
+        assert err == f"size guard: dim at least {low} exceeds the guard of {MAX_DIM}\n"
 
 
 class TestBch:

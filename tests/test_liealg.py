@@ -9,8 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treelie import (
-    LieElement,
-    bracket,
     chain,
     classify_nodes,
     dim_and_nilpotence,
@@ -23,6 +21,7 @@ from treelie.liealg import lattice_points, node_simplex, structure_table
 
 from .closure_oracle import generated_algebra
 from .corpus import CORPUS, LADDER, small_trees
+from .lie_oracle import LieElement, bracket
 from .poset_oracle import OraclePoset
 from .rref_oracle import rref_structure
 from .table_oracle import pairwise_structure_table
@@ -218,18 +217,11 @@ class TestStructure:
     def test_center_formulas(self):
         for _, t in CORPUS:
             cls = classify_nodes(t)
+            zero = tuple(0 for _ in range(t.n))
             up = verify_structure(t, "up")
-            expected_up = {
-                LieElement.monomial(
-                    t.n, 1, tuple(0 for _ in range(t.n)), i
-                )
-                for i in cls.tips
-            }
-            assert set(up.center_basis) == expected_up
+            assert set(up.center_basis) == {(zero, i) for i in cls.tips}
             down = verify_structure(t, "down")
-            assert set(down.center_basis) == {
-                LieElement.monomial(t.n, 1, tuple(0 for _ in range(t.n)), 1)
-            }
+            assert down.center_basis == ((zero, 1),)
 
     def test_matches_rref_on_corpus(self):
         for _, t in CORPUS:

@@ -3,6 +3,7 @@
 from math import prod
 
 import pytest
+from hypothesis import given, settings
 
 from treelie import (
     TreeValidationError,
@@ -17,7 +18,7 @@ from treelie import (
 )
 from treelie.liealg import node_simplex
 
-from .corpus import CORPUS
+from .corpus import CORPUS, small_trees
 from .poset_oracle import path_weight
 
 
@@ -88,6 +89,13 @@ class TestClan:
         for _, t in CORPUS:
             for i in range(2, t.n + 1):
                 assert t.clan(i) == t.clan(t.parent(i)) + (i,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_trees(max_nodes=8))
+    def test_descendants_are_the_nodes_whose_clan_holds_the_node(self, tree):
+        for i in range(1, tree.n + 1):
+            expected = tuple(j for j in range(1, tree.n + 1) if j != i and i in tree.clan(j))
+            assert tree.descendants(i) == expected
 
 
 class TestClassification:
