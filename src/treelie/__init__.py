@@ -28,13 +28,11 @@ from .heat import (
 from .ideals import (
     AbelianIdeal,
     AdmissiblePair,
-    RootPoset,
     brute_force_ideals,
     enumerate_ideals,
     is_abelian_ideal,
     maximal_ideals,
     principal_ideal,
-    root_poset,
 )
 from .liealg import (
     DiffOpMonomial,

@@ -3,42 +3,43 @@ solvable extensions of the two tree algebras.
 
 Ideals are recorded as root sets: each basis monomial x^a d/dx_j is the
 unique vector for the integer root (a with -1 in slot j), and every
-abelian ideal is a sum of such one-dimensional root spaces. Upward,
-ideals are built from generator data: an independent anchor set plus,
-per anchor, an assignment of antichains in its poset. Each poset holds
-the node's exponent lattice (``liealg.node_lattice``) with its order
-stored once as bitmasks, and one bitmask recursion (``_antichains``)
-yields both the antichains of a poset and the anchor sets, which are the
-antichains of the ground nodes under ancestry. Ideals are counted
-without being built, by a product over the tree of the assignment counts
-at each possible anchor. Downward, and in the oracle for both directions,
-ideals are the downsets of the bracket-reachability preorder of
-``liealg.structure_table`` whose members pairwise commute, found by one
-bitmask search that counts them or records them. One test on the
+abelian ideal is a sum of such one-dimensional root spaces. Every order
+here is bracket reachability, read off the ``closures`` of
+``liealg.structure_table``, and every ideal is held as a member bitmask
+over its basis. Upward, ideals are built from generator data: an
+independent anchor set plus, per anchor, an assignment of antichains of
+the anchor's monomials, ordered by closure (x^e' d/dx_i lies below
+x^e d/dx_i when the closure of the second holds the first). The ideal a
+datum generates is the OR of the closures of its generators. One bitmask
+recursion (``_antichains``) yields both the antichains at an anchor and
+the anchor sets, which are the antichains of the ground nodes under
+ancestry. Ideals are counted without being built, by a product over the
+tree of the assignment counts at each possible anchor. Downward, and in
+the oracle for both directions, ideals are the downsets of the
+bracket-reachability preorder whose members pairwise commute, found by
+one bitmask search that counts them or records them. One test on the
 structure table (``_maximality``) decides maximality for both the
 listing and ``maximal_ideals``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iproduct
 from math import prod
-from operator import le, or_
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import or_
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SizeGuardError
 from .liealg import StructureTable, _bits, node_lattice, structure_table
 # perfbench's tracer test checks that its wrappers reach this binding too
 from .liealg import enumerate_basis  # noqa: F401
-from .trees import NodeClassification, TreeDiagram, classify_nodes
+from .trees import TreeDiagram, classify_nodes
 
 __all__ = [
-    "RootPoset",
     "AdmissiblePair",
     "AbelianIdeal",
-    "root_poset",
     "principal_ideal",
     "maximal_ideals",
     "enumerate_ideals",
@@ -52,44 +53,6 @@ LIST_GUARD = 24
 ORACLE_GUARD = 20
 
 Root = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RootPoset:
-    """Exponent tuples attached to one anchor node, partially ordered.
-
-    Upward, the tuples run over the proper clan prefix of the node and the
-    order compares the clan-weighted cumulative sums. Downward, they run
-    over the descendants of the node and the order compares, per
-    descendant m, the weighted sums along the path from the node to m.
-    The order is stored once, as bitmasks over element indices:
-    ``below[k]`` holds the elements <= element k, ``above[k]`` those >= it.
-    """
-
-    node: int
-    direction: str
-    support: Tuple[int, ...]
-    elements: Tuple[Tuple[int, ...], ...]
-    below: Tuple[int, ...]
-    above: Tuple[int, ...]
-    _index: Dict[Tuple[int, ...], int] = field(hash=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._index.update({e: i for i, e in enumerate(self.elements)})
-
-    def leq(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-        return bool(self.below[self._index[b]] >> self._index[a] & 1)
-
-    def downset(self, tops: Iterable[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], ...]:
-        mask = 0
-        for t in tops:
-            mask |= self.below[self._index[t]]
-        return tuple(self.elements[k] for k in _bits(mask))
-
-    def antichains(self) -> List[Tuple[Tuple[int, ...], ...]]:
-        """All antichains, the empty one included, in canonical order."""
-        comparable = [b | a for b, a in zip(self.below, self.above)]
-        return [tuple(self.elements[k] for k in c) for c in _antichains(comparable)]
 
 
 def _antichains(comparable: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -111,8 +74,9 @@ def _antichains(comparable: Sequence[int]) -> List[Tuple[int, ...]]:
 @dataclass(frozen=True)
 class AdmissiblePair:
     """Generator data of an upward abelian ideal: the independent anchor
-    set and, for every node in an anchor subtree, the antichain of
-    exponent tuples (in the anchor poset) generating at that node."""
+    set and, for every node r in an anchor subtree, the antichain of
+    exponent tuples e (in the anchor's closure order) whose monomials
+    x^e d/dx_r generate at r."""
 
     anchors: Tuple[int, ...]
     antichains: Tuple[Tuple[int, Tuple[Tuple[int, ...], ...]], ...]
@@ -130,74 +94,6 @@ class AbelianIdeal:
 
     def canonical(self) -> Tuple[Root, ...]:
         return tuple(sorted(self.roots))
-
-
-# ------------------------------------------------------------------- posets
-
-
-def root_poset(tree: TreeDiagram, i: int, direction: str) -> RootPoset:
-    """Exponent poset of one node; the zero tuple is the unique minimum.
-
-    Each element's value vector comes from one recursion: upward
-    v_s = e_s + w(path[s+1]) * v_{s+1} toward the root along the clan
-    path, downward v(m) = e(m) + w(m) * v(parent m) with v(i) = 0.
-    """
-    support, elements = node_lattice(tree, i, direction)
-    # (k, link, w): value k gains w times value link, links updated first
-    if direction == "up":
-        path = tree.clan(i)
-        steps = [(s, s + 1, tree.weight(path[s + 1])) for s in reversed(range(len(path) - 2))]
-    else:
-        pos = {m: k for k, m in enumerate(support)}
-        steps = [
-            (k, pos[tree.parent(m)], tree.weight(m))
-            for k, m in enumerate(support)
-            if tree.parent(m) != i
-        ]
-    values = []
-    for el in elements:
-        vals = list(el)
-        for k, link, w in steps:
-            vals[k] += w * vals[link]
-        values.append(vals)
-    below = tuple(
-        sum(1 << j for j, u in enumerate(values) if all(map(le, u, v))) for v in values
-    )
-    above = tuple(
-        sum(1 << j for j, b in enumerate(below) if b >> k & 1) for k in range(len(below))
-    )
-    return RootPoset(
-        node=i,
-        direction=direction,
-        support=tuple(support),
-        elements=tuple(elements),
-        below=below,
-        above=above,
-    )
-
-
-def _anchors(cls: NodeClassification, i: int, direction: str) -> Tuple[int, ...]:
-    """Nodes whose derivatives a generator at node i reaches: i and its
-    descendants upward, the clan of i downward."""
-    return (i,) + cls.descendants[i] if direction == "up" else cls.clans[i]
-
-
-def _anchored_roots(
-    support: Sequence[int], elements: Iterable[Tuple[int, ...]], anchors: Iterable[int], n: int
-) -> Set[Root]:
-    """Roots of the monomials x^el d/dx_m for every el in elements, read
-    over the nodes of support, and m in anchors; anchors and support are
-    disjoint."""
-    out = set()
-    for el in elements:
-        vec = [0] * n
-        for node, e in zip(support, el):
-            vec[node - 1] = e
-        for m in anchors:
-            root = vec.copy()
-            root[m - 1] = -1
-            out.add(tuple(root))
-    return out
 
 
 # ---------------------------------------------------------- downset search
@@ -258,24 +154,25 @@ def _maximality(table: StructureTable) -> Callable[[int], bool]:
 
 
 def principal_ideal(tree: TreeDiagram, i: int, j: Tuple[int, ...], direction: str) -> AbelianIdeal:
-    """Ideal generated by the single monomial with exponents j at node i.
+    """Ideal generated by the single monomial with exponents j at node i:
+    the bracket closure of x^j d/dx_i.
 
     Upward the anchor must make every descendant weight-1 (else no abelian
     ideal contains the generator); downward the anchor's root path must be
     weight-1 throughout.
     """
     cls = classify_nodes(tree)
-    poset = root_poset(tree, i, direction)
+    _, elements = node_lattice(tree, i, direction)
     j = tuple(j)
-    if j not in poset._index:
+    if j not in elements:
         raise ValueError(f"exponent tuple {j} is not in the poset of node {i}")
     if direction == "up" and i not in cls.upsilon:
         raise ValueError(f"node {i} has a descendant below a weighted edge")
     if direction == "down" and i not in cls.phi:
         raise ValueError(f"node {i} sits below a weighted edge")
-    roots = frozenset(
-        _anchored_roots(poset.support, poset.downset([j]), _anchors(cls, i, direction), tree.n)
-    )
+    table = structure_table(tree, direction)
+    members = table.closures[_node_blocks(table, tree.n)[i][elements.index(j)]]
+    roots = frozenset(table.roots[k] for k in _bits(members))
     ideal = AbelianIdeal(roots=roots)
     ok, cert = is_abelian_ideal(tree, direction, roots)
     if not ok:
@@ -303,8 +200,9 @@ def _independent_subsets(tree: TreeDiagram, ground: Sequence[int]) -> List[Tuple
 def maximal_ideals(
     tree: TreeDiagram, direction: str, table: Optional[StructureTable] = None
 ) -> List[AbelianIdeal]:
-    """The maximal members of the anchor-set family: the full-poset ideals
-    of the maximal independent anchor sets that pass ``_maximality``.
+    """The maximal members of the anchor-set family: the ideals generated
+    by every monomial at the nodes of a maximal independent anchor set,
+    kept when they pass ``_maximality``.
 
     Upward, the family is exhaustive: each maximal abelian ideal arises
     from a maximal independent anchor set. Downward, branching trees also
@@ -318,12 +216,9 @@ def maximal_ideals(
     if table is None:
         table = structure_table(tree, direction)
     is_maximal = _maximality(table)
-    # per ground node, the member mask of its full-poset ideal
-    node_masks = []
-    for i in ground:
-        support, elements = node_lattice(tree, i, direction)
-        roots = _anchored_roots(support, elements, _anchors(cls, i, direction), tree.n)
-        node_masks.append(sum(1 << table.index[r] for r in roots))
+    blocks = _node_blocks(table, tree.n)
+    # per ground node, the member mask of the ideal its monomials generate
+    node_masks = [reduce(or_, (table.closures[k] for k in blocks[i])) for i in ground]
     related = _ancestry(tree, ground)
     full = (1 << len(ground)) - 1
     keep = []
@@ -339,87 +234,131 @@ def maximal_ideals(
     return keep
 
 
-def _anchor_assignments(tree: TreeDiagram, poset: RootPoset, nodes: Sequence[int]) -> List[Dict[int, Tuple]]:
-    """Antichain assignments to the nodes of one anchor subtree.
+# ----------------------------------------------------- upward generator data
 
-    ``nodes`` is the anchor followed by its descendants, parents first.
-    The anchor's antichain is nonempty, and no entry of a node's antichain
+
+def _node_blocks(table: StructureTable, n: int) -> List[range]:
+    """Per node i (at position i), the table indices of the monomials
+    x^e d/dx_i: the basis lists each node's monomials together, in
+    ``node_lattice`` order."""
+    ends = [0] * (n + 1)
+    for k, (_, dvar) in enumerate(table.keys):
+        ends[dvar] = k + 1
+    return [range(0)] + [range(ends[i - 1], ends[i]) for i in range(1, n + 1)]
+
+
+def _anchor_order(table: StructureTable, block: range):
+    """The antichains of one anchor's monomials, as positions in its block.
+
+    e' <= e when the bracket closure of x^e d/dx_i holds x^e' d/dx_i.
+    Returns the antichains in ``_antichains`` order and, per antichain,
+    the bitmask of its entries and of the positions below an entry.
+    """
+    below = [table.closures[p] >> block.start & ((1 << len(block)) - 1) for p in block]
+    comparable = list(below)
+    for k, b in enumerate(below):
+        for low in _bits(b):
+            comparable[low] |= 1 << k
+    chains = _antichains(comparable)
+    entries = [sum(1 << k for k in c) for c in chains]
+    down = [reduce(or_, (below[k] for k in c), 0) for c in chains]
+    return chains, entries, down
+
+
+def _count_assignments(
+    children: Dict[int, Tuple[int, ...]], table: StructureTable, anchor: int, block: range
+) -> int:
+    """Number of antichain assignments to one anchor subtree
+    (``_assignments``): per node, the allowed antichains, each times the
+    ways of the node's child subtrees below it."""
+    _, entries, down = _anchor_order(table, block)
+
+    def ways(r, blocked):
+        return sum(
+            prod(ways(s, blocked | down[c]) for s in children[r])
+            for c in range(1 if r == anchor else 0, len(entries))
+            if not entries[c] & blocked
+        )
+
+    return ways(anchor, 0)
+
+
+def _assignments(
+    tree: TreeDiagram,
+    table: StructureTable,
+    nodes: Sequence[int],
+    block: range,
+    elements: Sequence[Tuple[int, ...]],
+) -> List[Tuple[list, int]]:
+    """Antichain assignments to the nodes of one anchor subtree, each as
+    its (node, antichain of exponent tuples) items and the member mask of
+    the ideal it generates: the OR of the closures of its generators
+    x^e d/dx_r.
+
+    ``nodes`` is the anchor followed by its descendants, parents first,
+    and ``elements`` the anchor's exponent tuples in block order. The
+    anchor's antichain is nonempty, and no entry of a node's antichain
     lies below an entry at one of its tree ancestors.
     """
-    anchor = poset.node
-    parent = {r: tree.parent(r) for r in nodes if r != anchor}
-    chains = poset.antichains()
-    # each antichain's entries as element bits, and the elements lying
-    # above some entry (an ancestor entry there would conflict)
-    entries = [sum(1 << poset._index[e] for e in k) for k in chains]
-    above = [reduce(or_, (poset.above[k] for k in _bits(m)), 0) for m in entries]
-    nonempty = [c for c, k in enumerate(chains) if k]
-    assigns: List[Dict[int, Tuple]] = []
-    current: Dict[int, Tuple] = {}
-    seen: Dict[int, int] = {}  # entries at a node and at its ancestors
+    chains, entries, down = _anchor_order(table, block)
+    named = [tuple(elements[k] for k in c) for c in chains]
+    anchor = nodes[0]
 
-    def rec(pos):
+    def closure(r, p):
+        # of x^e d/dx_r, for the x^e d/dx_anchor at table index p
+        root = list(table.roots[p])
+        root[anchor - 1], root[r - 1] = 0, -1
+        return table.closures[table.index[tuple(root)]]
+
+    closures = {r: [closure(r, p) for p in block] for r in nodes}
+    out = []
+    items: list = []
+    seen: Dict[int, int] = {}  # positions below an entry at a node or its ancestors
+
+    def rec(pos, members):
         if pos == len(nodes):
-            assigns.append(dict(current))
+            out.append((list(items), members))
             return
         r = nodes[pos]
-        blocked = seen[parent[r]] if r != anchor else 0
-        for c in nonempty if r == anchor else range(len(chains)):
-            if above[c] & blocked:
+        blocked = seen[tree.parent(r)] if pos else 0
+        for c in range(0 if pos else 1, len(chains)):
+            if entries[c] & blocked:
                 continue
-            current[r] = chains[c]
-            seen[r] = blocked | entries[c]
-            rec(pos + 1)
-        current.pop(r, None)
+            seen[r] = blocked | down[c]
+            items.append((r, named[c]))
+            rec(pos + 1, reduce(or_, (closures[r][k] for k in chains[c]), members))
+            items.pop()
 
-    rec(0)
-    return assigns
+    rec(0, 0)
+    return out
 
 
-def _up_admissible(tree: TreeDiagram):
-    """Yield (roots, pair) for every admissible generator datum.
+def _up_admissible(tree: TreeDiagram, table: StructureTable):
+    """Yield (member mask, pair) for every admissible generator datum.
 
     Anchors form a nonempty independent subset of the weight-free ground
     set, and each anchor subtree carries an antichain assignment
-    (``_anchor_assignments``); the restriction on entries below an
-    ancestor's entries keeps generator data and ideals in bijection.
+    (``_assignments``); the restriction on entries below an ancestor's
+    entries keeps generator data and ideals in bijection.
     """
     cls = classify_nodes(tree)
-    posets = {i: root_poset(tree, i, "up") for i in cls.upsilon}
+    blocks = _node_blocks(table, tree.n)
     assignments = {
-        i: _anchor_assignments(tree, posets[i], _anchors(cls, i, "up"))
+        i: _assignments(
+            tree, table, (i,) + cls.descendants[i], blocks[i], node_lattice(tree, i, "up")[1]
+        )
         for i in cls.upsilon
     }
-
-    def materialize(i, assignment):
-        poset = posets[i]
-        pis: Dict[int, set] = {}
-        roots = set()
-        for r in _anchors(cls, i, "up"):
-            base = set() if r == i else set(pis[tree.parent(r)])
-            base.update(poset.downset(assignment[r]))
-            pis[r] = base
-            roots |= _anchored_roots(poset.support, base, (r,), tree.n)
-        return roots
-
-    anchor_sets = [s for s in _independent_subsets(tree, cls.upsilon) if s]
-    for anchors in anchor_sets:
+    for anchors in _independent_subsets(tree, cls.upsilon):
+        if not anchors:
+            continue
         for combo in iproduct(*(assignments[i] for i in anchors)):
-            roots = set()
-            chain_items = []
-            for i, assignment in zip(anchors, combo):
-                roots |= materialize(i, assignment)
-                chain_items.extend(sorted(assignment.items()))
-            pair = AdmissiblePair(
-                anchors=anchors,
-                antichains=tuple(
-                    (node, tuple(k)) for node, k in sorted(chain_items)
-                ),
-            )
-            yield frozenset(roots), pair
+            items = sorted(item for chosen, _ in combo for item in chosen)
+            members = reduce(or_, (m for _, m in combo))
+            yield members, AdmissiblePair(anchors=anchors, antichains=tuple(items))
 
 
-def _count_up(tree: TreeDiagram) -> int:
+def _count_up(tree: TreeDiagram, table: StructureTable) -> int:
     """Number of upward abelian ideals, the zero ideal included.
 
     Counts the generator data of the subtree of v, including none:
@@ -429,12 +368,12 @@ def _count_up(tree: TreeDiagram) -> int:
     """
     cls = classify_nodes(tree)
     upsilon = set(cls.upsilon)
+    blocks = _node_blocks(table, tree.n)
     total: Dict[int, int] = {}
     for v in range(tree.n, 0, -1):  # children carry larger labels
         ways = prod(total[c] for c in cls.children[v])
         if v in upsilon:
-            poset = root_poset(tree, v, "up")
-            ways += len(_anchor_assignments(tree, poset, _anchors(cls, v, "up")))
+            ways += _count_assignments(cls.children, table, v, blocks[v])
         total[v] = ways
     return total[1]
 
@@ -449,37 +388,37 @@ def enumerate_ideals(
     primary path. ``mode='count'`` returns the total only, without
     building any ideal (upward by the anchor product of ``_count_up``);
     list mode is guarded at 24 roots. ``table`` is the algebra's structure
-    table, built here when omitted and needed.
+    table, built here when omitted.
     """
     if mode not in ("list", "count"):
         raise ValueError(f"mode must be 'list' or 'count', got {mode!r}")
-    if mode == "count" and direction == "up":
-        return _count_up(tree)
     if table is None:
         table = structure_table(tree, direction)
     if mode == "count":
-        return _abelian_downsets(table)
+        return _count_up(tree, table) if direction == "up" else _abelian_downsets(table)
     if len(table.roots) > LIST_GUARD:
         raise SizeGuardError(
             f"{len(table.roots)} roots exceeds the list-mode guard of {LIST_GUARD};"
             " use count mode or the closed-form counts"
         )
-    # (member bitmask, roots, generator pair) per ideal
+    # (member bitmask, generator pair) per ideal
     if direction == "up":
-        pairs: Dict[FrozenSet[Root], Optional[AdmissiblePair]] = {frozenset(): None}
-        for roots, pair in _up_admissible(tree):
-            pairs.setdefault(roots, pair)
-        found = [
-            (sum(1 << table.index[r] for r in roots), roots, pair) for roots, pair in pairs.items()
-        ]
+        pairs: Dict[int, Optional[AdmissiblePair]] = {0: None}
+        for members, pair in _up_admissible(tree, table):
+            pairs.setdefault(members, pair)
+        found = list(pairs.items())
     else:
         masks: List[int] = []
         _abelian_downsets(table, masks)
-        found = [(m, frozenset(table.roots[k] for k in _bits(m)), None) for m in masks]
+        found = [(m, None) for m in masks]
     is_maximal = _maximality(table)
     ideals = [
-        AbelianIdeal(roots=roots, maximal=is_maximal(members), generator_pair=pair)
-        for members, roots, pair in found
+        AbelianIdeal(
+            roots=frozenset(table.roots[k] for k in _bits(members)),
+            maximal=is_maximal(members),
+            generator_pair=pair,
+        )
+        for members, pair in found
     ]
     ideals.sort(key=lambda ideal: (ideal.dim, ideal.canonical()))
     return ideals
@@ -487,7 +426,7 @@ def enumerate_ideals(
 
 def count_admissible_pairs(tree: TreeDiagram) -> int:
     """Number of admissible generator data, zero ideal not included."""
-    return sum(1 for _ in _up_admissible(tree))
+    return sum(1 for _ in _up_admissible(tree, structure_table(tree, "up")))
 
 
 def brute_force_ideals(

@@ -108,7 +108,8 @@ def node_lattice(
 ) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
     """The nodes and exponent tuples of the basis monomials x^j d/dx_i at
     node i, as (support, elements): the lattice points of
-    ``node_simplex`` in ``lattice_points`` order."""
+    ``node_simplex`` in ``lattice_points`` order, which is the order of
+    node i's monomials in the basis and the structure table."""
     support, coefs, bound = node_simplex(tree, i, direction)
     return support, lattice_points(coefs, bound)
 

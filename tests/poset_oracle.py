@@ -1,7 +1,8 @@
 """Reference root posets and anchor sets, built the direct way.
 
-The questions ``ideals.root_poset`` and ``ideals._independent_subsets``
-answer from bitmasks, answered from their definitions: every element
+What ``ideals._anchor_order`` reads off the structure table's closures
+and ``ideals._independent_subsets`` finds from bitmasks, answered from
+the definitions: every element
 carries an explicit value vector (upward, clan-weighted cumulative sums
 over the proper clan prefix; downward, per descendant m, the sum of the
 exponents on the path to m times the path weights), the order compares

@@ -1,4 +1,4 @@
-"""Root posets, principal and maximal abelian ideals, full enumeration,
+"""Anchor orders, principal and maximal abelian ideals, full enumeration,
 and the bracket-based oracle."""
 
 from itertools import product
@@ -18,13 +18,20 @@ from treelie import (
     is_abelian_ideal,
     maximal_ideals,
     principal_ideal,
-    root_poset,
 )
-from treelie.ideals import LIST_GUARD, ORACLE_GUARD, _independent_subsets, count_admissible_pairs
+from treelie.ideals import (
+    LIST_GUARD,
+    ORACLE_GUARD,
+    _anchor_order,
+    _independent_subsets,
+    _node_blocks,
+    count_admissible_pairs,
+)
 from treelie.liealg import structure_table
 
 from .corpus import CORPUS, A3_14, WIDE_Y, small_trees
 from .poset_oracle import OraclePoset, independent_subsets
+from .table_oracle import pairwise_structure_table
 
 
 def _all_small_trees():
@@ -40,65 +47,81 @@ def _members(mask):
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
-class TestRootPoset:
+def _table_order(tree, i):
+    """Node i's upward monomials as exponent tuples over its proper clan
+    prefix, in table order, and their order read off the closures:
+    a <= b when the closure of x^b d/dx_i holds x^a d/dx_i."""
+    table = structure_table(tree, "up")
+    block = _node_blocks(table, tree.n)[i]
+    support = tree.clan(i)[:-1]
+    elements = [tuple(table.keys[p][0][s - 1] for s in support) for p in block]
+    # the block holds exactly node i's monomials, zero off the support
+    for p in block:
+        exps, dvar = table.keys[p]
+        assert dvar == i and not any(e for s, e in enumerate(exps, 1) if s not in support)
+    pos = {e: block[k] for k, e in enumerate(elements)}
+
+    def leq(a, b):
+        return bool(table.closures[pos[b]] >> pos[a] & 1)
+
+    return table, block, elements, leq
+
+
+class TestAnchorOrder:
     def test_weighted_chain_triangle(self):
-        poset = root_poset(chain([1, 3]), 3, "up")
-        assert set(poset.elements) == {
-            (i, j) for i in range(4) for j in range(4) if i + j <= 3
-        }
-        for a in poset.elements:
-            for b in poset.elements:
+        _, _, elements, leq = _table_order(chain([1, 3]), 3)
+        assert set(elements) == {(i, j) for i in range(4) for j in range(4) if i + j <= 3}
+        for a in elements:
+            for b in elements:
                 expected = a[0] + a[1] <= b[0] + b[1] and a[1] <= b[1]
-                assert poset.leq(a, b) == expected
+                assert leq(a, b) == expected
 
     def test_unit_chain_total_order(self):
-        t = chain([1, 1, 1])
-        poset = root_poset(t, 4, "up")
+        _, _, elements, leq = _table_order(chain([1, 1, 1]), 4)
         units = [tuple(int(k == s) for k in range(3)) for s in range(3)]
-        assert set(poset.elements) == {(0, 0, 0)} | set(units)
-        assert poset.leq(units[0], units[1]) and poset.leq(units[1], units[2])
-        assert not poset.leq(units[1], units[0])
+        assert set(elements) == {(0, 0, 0)} | set(units)
+        assert leq(units[0], units[1]) and leq(units[1], units[2])
+        assert not leq(units[1], units[0])
 
     def test_zero_is_unique_minimum(self):
         for _, t in CORPUS:
-            for d in ("up", "down"):
-                for i in range(1, t.n + 1):
-                    poset = root_poset(t, i, d)
-                    zero = poset.elements[0]
-                    assert set(zero) <= {0}
-                    for e in poset.elements:
-                        assert poset.leq(zero, e)
-                        if e != zero:
-                            assert not poset.leq(e, zero)
+            for i in range(1, t.n + 1):
+                _, _, elements, leq = _table_order(t, i)
+                zero = elements[0]
+                assert set(zero) <= {0}
+                for e in elements:
+                    assert leq(zero, e)
+                    if e != zero:
+                        assert not leq(e, zero)
 
     def test_antisymmetry(self):
         for _, t in CORPUS:
-            for d in ("up", "down"):
-                for i in range(1, t.n + 1):
-                    poset = root_poset(t, i, d)
-                    for a in poset.elements:
-                        for b in poset.elements:
-                            if a != b:
-                                assert not (poset.leq(a, b) and poset.leq(b, a))
+            for i in range(1, t.n + 1):
+                _, _, elements, leq = _table_order(t, i)
+                for a in elements:
+                    for b in elements:
+                        if a != b:
+                            assert not (leq(a, b) and leq(b, a))
 
     @settings(max_examples=150, deadline=None)
-    @given(small_trees(), st.sampled_from(["up", "down"]))
-    def test_masks_match_the_value_vector_oracle(self, tree, direction):
+    @given(small_trees())
+    def test_order_matches_the_value_vector_oracle(self, tree):
         for i in range(1, tree.n + 1):
-            poset = root_poset(tree, i, direction)
-            oracle = OraclePoset(tree, i, direction)
-            assert (poset.support, poset.elements) == (oracle.support, oracle.elements)
-            for a in poset.elements:
-                assert poset.downset([a]) == oracle.downset([a])
-                for b in poset.elements:
-                    assert poset.leq(a, b) == oracle.leq(a, b), (tree, i, a, b)
+            table, block, elements, leq = _table_order(tree, i)
+            oracle = OraclePoset(tree, i, "up")
+            assert (tree.clan(i)[:-1], tuple(elements)) == (oracle.support, oracle.elements)
+            for a in elements:
+                for b in elements:
+                    assert leq(a, b) == oracle.leq(a, b), (tree, i, a, b)
             # antichains grow exponentially: chain([2, 2, 2, 2]) has a
             # 201-element poset with 11.5 million of them
-            if len(poset.elements) <= 40:
-                chains = poset.antichains()
-                assert chains == oracle.antichains()
-                for tops in chains:
-                    assert poset.downset(tops) == oracle.downset(tops)
+            if len(elements) <= 40:
+                chains, entries, down = _anchor_order(table, block)
+                assert [tuple(elements[k] for k in c) for c in chains] == oracle.antichains()
+                for c, m, d in zip(chains, entries, down):
+                    assert m == sum(1 << k for k in c)
+                    tops = [elements[k] for k in c]
+                    assert [elements[k] for k in sorted(_members(d))] == list(oracle.downset(tops))
         cls = classify_nodes(tree)
         for ground in (cls.upsilon, cls.phi, range(1, tree.n + 1)):
             assert _independent_subsets(tree, ground) == independent_subsets(tree, ground)
@@ -132,14 +155,17 @@ class TestPrincipalIdeal:
 
     def test_equals_bracket_generated_closure(self):
         # oracle: close the generator under bracketing with every basis
-        # element; the principal downset must match exactly
-        for _, t in CORPUS:
+        # element, in the pairwise table; the principal ideal must match
+        # exactly. The last tree's downward node 1 has x2*d1, whose
+        # closure misses x3*x4*d1.
+        trees = [t for _, t in CORPUS] + [build_tree(4, [(1, 2, 2), (2, 3, 1), (2, 4, 1)])]
+        for t in trees:
             for d in ("up", "down"):
-                data = structure_table(t, d)
+                data = pairwise_structure_table(t, d)
                 cls = classify_nodes(t)
                 ground = cls.upsilon if d == "up" else cls.phi
                 for i in ground:
-                    poset = root_poset(t, i, d)
+                    poset = OraclePoset(t, i, d)
                     for el in poset.elements:
                         ideal = principal_ideal(t, i, el, d)
                         vec = [0] * t.n
@@ -304,7 +330,7 @@ class TestEnumeration:
                     anchored[node] = k
                 rebuilt = set()
                 for i in pair.anchors:
-                    poset = root_poset(t, i, "up")
+                    poset = OraclePoset(t, i, "up")
                     nodes = (i,) + cls.descendants[i]
                     pis = {}
                     for r in nodes:
