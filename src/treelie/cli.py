@@ -129,7 +129,7 @@ def _guard_dim(tree: trees.TreeDiagram, direction: str):
             raise SizeGuardError(
                 f"simplex bound {bound} at node {i} exceeds the guard of {MAX_SIMPLEX_BOUND}"
             )
-    dim, nilp = liealg.dim_and_nilpotence(tree, direction)
+    dim, nilp = liealg.dim_and_nilpotence(tree, direction, simplices)
     if dim > MAX_DIM:
         raise SizeGuardError(f"dim {dim} exceeds the guard of {MAX_DIM}")
     return dim, nilp

@@ -18,7 +18,8 @@ P points costs one (modes x n) @ (n x P) product and one exp/cos/sin
 pass, done in chunks of at most EVAL_BLOCK mode-point entries.
 
 The initial data enter through ``fourier_coefficients``, one FFT pass per
-axis that keeps only the coefficients the mode sum reads.
+axis that keeps only the coefficients the mode sum reads, on a grid that
+holds only the axes the data vary on until each axis's own pass.
 
 numpy is imported inside the functions that compute with it, so loading
 this module does not load numpy.
@@ -235,6 +236,10 @@ GridFunction = Union[str, expressions.ExprNode, Callable, "np.ndarray"]
 
 
 def _grid_values(f: GridFunction, box: Sequence[float], samples: int) -> np.ndarray:
+    """f on the uniform samples^n grid of the box, kept sparse: the array
+    has ndim n and size 1 on every axis f does not vary on, so broadcast
+    to (samples,)*n it is the full grid. Gridded samples keep their shape.
+    """
     import numpy as np
 
     n = len(box)
@@ -248,16 +253,17 @@ def _grid_values(f: GridFunction, box: Sequence[float], samples: int) -> np.ndar
         f = expressions.parse_expression(f, n)
     if isinstance(f, (expressions.Num, expressions.Pi, expressions.Var,
                       expressions.Neg, expressions.BinOp, expressions.Call)):
-        # elementwise arithmetic broadcasts, so the sparse mesh gives the
-        # full mesh's values while intermediates keep only the axes they
-        # use; the samples^n array is made once, by the broadcast below
+        # elementwise arithmetic broadcasts, so on the sparse mesh every
+        # value keeps only the axes it uses and gives the full mesh's values
         values = expressions.evaluate(f, np.meshgrid(*axes, indexing="ij", sparse=True))
     elif callable(f):
         # an arbitrary callable need not broadcast: it gets the full mesh
         values = f(*np.meshgrid(*axes, indexing="ij"))
     else:
         raise TypeError(f"unsupported initial data {type(f).__name__}")
-    return np.broadcast_to(np.asarray(values, dtype=float), shape).copy()
+    values = np.asarray(values, dtype=float)
+    np.broadcast_to(values, shape)  # raises unless the values fit the grid
+    return values.reshape((1,) * (n - values.ndim) + values.shape)
 
 
 def fourier_coefficients(
@@ -274,9 +280,15 @@ def fourier_coefficients(
     Only the entries at even indices up to 2*cutoff are read, so the
     transform runs axis by axis, last axis first as ``np.fft.fftn`` does,
     and keeps just those indices after each pass, so each later pass has
-    at most (cutoff + 1)/samples of the full transform's lines. A 1-D pass
-    transforms every line on its own, so the entries kept are fftn's, bit
-    for bit, sign bits included.
+    at most (cutoff + 1)/samples of the full transform's lines. The grid
+    stays sparse as well: an axis f does not vary on keeps size 1 until
+    its own pass broadcasts it to samples, so data on few axes never fill
+    the samples^n grid. A 1-D pass transforms every line on its own, and
+    identical input lines give identical output lines; a size-1 axis
+    stands for lines that are identical along it, and it keeps size 1
+    through every earlier pass. So each line that reaches a pass holds
+    the bits it holds on the full grid, and the entries kept are fftn's,
+    bit for bit, sign bits included.
 
     That matters: coefficients that are zero in exact arithmetic come out
     at rounding level, and the mode sum multiplies them by exp(A), which
@@ -293,7 +305,10 @@ def fourier_coefficients(
     spectrum = _grid_values(f, box, samples)
     read = slice(0, 2 * cutoff + 1, 2)
     for axis in range(n - 1, -1, -1):  # fftn's order: last axis first
-        spectrum = np.fft.fft(spectrum, axis=axis)[(slice(None),) * axis + (read,)]
+        # an axis f does not vary on is broadcast only for its own pass
+        full = spectrum.shape[:axis] + (samples,) + spectrum.shape[axis + 1:]
+        spectrum = np.fft.fft(np.broadcast_to(spectrum, full), axis=axis)
+        spectrum = spectrum[(slice(None),) * axis + (read,)]
     scale = 2.0 ** n / samples ** n
     out: Dict[Tuple[int, ...], Tuple[float, float]] = {}
     for k in iproduct(range(cutoff + 1), repeat=n):

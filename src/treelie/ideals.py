@@ -174,7 +174,7 @@ def principal_ideal(tree: TreeDiagram, i: int, j: Tuple[int, ...], direction: st
     members = table.closures[_node_blocks(table, tree.n)[i][elements.index(j)]]
     roots = frozenset(table.roots[k] for k in _bits(members))
     ideal = AbelianIdeal(roots=roots)
-    ok, cert = is_abelian_ideal(tree, direction, roots)
+    ok, cert = is_abelian_ideal(tree, direction, roots, table)
     if not ok:
         raise AssertionError(f"principal construction failed verification: {cert}")
     return ideal
@@ -448,15 +448,22 @@ def brute_force_ideals(
     return out
 
 
-def is_abelian_ideal(tree: TreeDiagram, direction: str, roots: Iterable[Root]):
+def is_abelian_ideal(
+    tree: TreeDiagram,
+    direction: str,
+    roots: Iterable[Root],
+    table: Optional[StructureTable] = None,
+):
     """Check bracket stability and internal commutativity of a root set.
 
     Every root vector here is an eigenvector of the diagonal operators
     x_k d/dx_k, so stability under the Cartan part holds structurally and
     only brackets against the nilpotent basis need computing. Returns
-    (True, None) or (False, certificate).
+    (True, None) or (False, certificate). ``table`` is the algebra's
+    structure table, built here when omitted.
     """
-    table = structure_table(tree, direction)
+    if table is None:
+        table = structure_table(tree, direction)
     chosen = []
     for r in roots:
         r = tuple(r)

@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 from operator import add
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .polynomials import series_coeff
 from .trees import TreeDiagram
 
 # a basis monomial x^exps d/dx_dvar as (exps, dvar)
 Key = Tuple[Tuple[int, ...], int]
+# a node's weighted simplex as (support, coefs, bound), see node_simplex
+Simplex = Tuple[Tuple[int, ...], List[int], int]
 
 __all__ = [
     "DiffOpMonomial",
@@ -69,9 +71,7 @@ def lattice_points(coefs: Sequence[int], bound: int) -> List[Tuple[int, ...]]:
     return points
 
 
-def node_simplex(
-    tree: TreeDiagram, i: int, direction: str
-) -> Tuple[Tuple[int, ...], List[int], int]:
+def node_simplex(tree: TreeDiagram, i: int, direction: str) -> Simplex:
     """The weighted simplex of node i, as (support, coefs, bound): the
     exponents j of the basis monomials x^j d/dx_i are the nonnegative j
     over the nodes of support with sum(coefs[s] * j_s) <= bound.
@@ -142,7 +142,9 @@ def root_of_monomial(mono: DiffOpMonomial) -> Tuple[int, ...]:
     return tuple(root)
 
 
-def dim_and_nilpotence(tree: TreeDiagram, direction: str) -> Tuple[int, int]:
+def dim_and_nilpotence(
+    tree: TreeDiagram, direction: str, simplices: Optional[Sequence[Simplex]] = None
+) -> Tuple[int, int]:
     """Closed-form dimension and lower-central-series length.
 
     The dimension counts the lattice points of each node's simplex as the
@@ -152,11 +154,12 @@ def dim_and_nilpotence(tree: TreeDiagram, direction: str) -> Tuple[int, int]:
     largest per-node height: upward h(1) = 1 and
     h(i) = 1 + weight(i) * h(parent(i)); downward tips have height 1 and
     h(i) = 1 + max over children s of weight(s) * h(s).
+    ``simplices`` holds ``node_simplex`` of nodes 1..n, derived here when
+    omitted.
     """
-    dim = 0
-    for i in range(1, tree.n + 1):
-        _, coefs, bound = node_simplex(tree, i, direction)
-        dim += series_coeff([1, *coefs], bound)
+    if simplices is None:
+        simplices = [node_simplex(tree, i, direction) for i in range(1, tree.n + 1)]
+    dim = sum(series_coeff([1, *coefs], bound) for _, coefs, bound in simplices)
     heights = [1] * (tree.n + 1)
     if direction == "up":
         for i in range(2, tree.n + 1):

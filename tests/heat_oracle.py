@@ -8,10 +8,11 @@ of each mode are formed at one point before the weighted cosine and sine
 values are added up in mode order.
 
 ``fourier_coefficients_fftn`` is the quadrature through the full
-complex FFT of the grid with the whole spectrum scaled, the route
-``heat.fourier_coefficients`` took before it transformed axis by axis
-and kept, after each axis, only the indices it reads; the two must agree
-bit for bit.
+complex FFT of the whole samples^n grid with the whole spectrum scaled,
+the route ``heat.fourier_coefficients`` took before it transformed axis
+by axis, broadcast an axis the data do not vary on only for its own
+pass, and kept, after each axis, only the indices it reads; the two must
+agree bit for bit.
 
 ``split_exponent_sympy`` is the independent route to the symbolic growth
 and phase split: sympy expands the exponent with z_r = I*k_r and takes
@@ -91,7 +92,8 @@ def mode_sum(solution: HeatSolution, t: float, points) -> np.ndarray:
 def fourier_coefficients_fftn(f, box, cutoff: int, samples: int):
     """Weighted cosine and sine coefficients from np.fft.fftn of the grid."""
     n = len(box)
-    spectrum = np.fft.fftn(_grid_values(f, box, samples)) * (2.0 ** n / samples ** n)
+    grid = np.broadcast_to(_grid_values(f, box, samples), (samples,) * n)
+    spectrum = np.fft.fftn(grid) * (2.0 ** n / samples ** n)
     out = {}
     for k in product(range(cutoff + 1), repeat=n):
         z = spectrum[tuple(2 * kv for kv in k)]

@@ -19,6 +19,7 @@ from treelie.cli import (
     MAX_DIM,
     MAX_F_DEGREE,
     MAX_SIMPLEX_BOUND,
+    _guard_dim,
     main,
 )
 from treelie.heat import MAX_MODES, MAX_QUADRATURE_POINTS
@@ -113,6 +114,22 @@ class TestDimGuard:
         assert str(MAX_DIM) in err
         # dim 6 092 (the largest timed) passes, dim 29 413 does not
         assert 6092 <= MAX_DIM < 29413
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_each_simplex_derived_once(self, monkeypatch, direction):
+        # the guard's lower bound and the closed-form dim share the simplices
+        tree = build_tree(5, [(1, 2, 2), (2, 3, 1), (2, 4, 2), (1, 5, 1)])
+        want = liealg.dim_and_nilpotence(tree, direction)
+        derived = []
+        node_simplex = liealg.node_simplex
+
+        def counting(tree, i, direction):
+            derived.append(i)
+            return node_simplex(tree, i, direction)
+
+        monkeypatch.setattr(liealg, "node_simplex", counting)
+        assert _guard_dim(tree, direction) == want
+        assert derived == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("weight", [10**8, 10**11])
     @pytest.mark.parametrize("command", ["info", "basis", "ideals"])

@@ -3,6 +3,7 @@ and the assembled heat-type solver."""
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -281,18 +282,19 @@ class TestFourierCoefficients:
         samples = 8
         axes = [(-a + 2.0 * a * np.arange(samples) / samples) for a in box]
         mesh = np.meshgrid(*axes, indexing="ij")
-        for f in (
-            "cos(2*pi*x1/1) + 0.5*sin(pi*x3/2) - 0.25",
-            "x1*x2^2 - exp(x3)/3 + 2",
-            "sin(x2)",
-            "-pi",
+        # the axes an expression does not vary on keep size 1
+        for f, shape in (
+            ("cos(2*pi*x1/1) + 0.5*sin(pi*x3/2) - 0.25", (samples, 1, samples)),
+            ("x1*x2^2 - exp(x3)/3 + 2", (samples,) * 3),
+            ("sin(x2)", (1, samples, 1)),
+            ("-pi", (1, 1, 1)),
         ):
             full = np.broadcast_to(
                 expressions.evaluate(expressions.parse_expression(f, 3), mesh), mesh[0].shape
             )
             got = _grid_values(f, box, samples)
-            assert got.shape == (samples,) * 3
-            assert np.array_equal(got, full), f
+            assert got.shape == shape, f
+            assert np.array_equal(np.broadcast_to(got, mesh[0].shape), full), f
 
     def test_coefficients_equal_full_fft_oracle(self):
         # bit for bit: zero coefficients come out at rounding level, and
@@ -338,6 +340,36 @@ class TestFourierCoefficients:
         for part in (0, 1):  # the cosine (real) and sine (imaginary) columns
             assert np.array_equal(got[:, part], want[:, part])
             assert np.array_equal(np.signbit(got[:, part]), np.signbit(want[:, part]))
+
+    # at the benchmark's largest grid: f on one axis, two axes, all four,
+    # and a constant, whose axes are broadcast only for their own passes
+    BENCHMARK_DATA = (
+        "-1/2*sin(1*pi*x2/1.0)",
+        "1/3*cos(2*pi*x4/1.5) - 2*sin(1*pi*x1/2.0)",
+        "cos(pi*x1/2.0)*sin(2*pi*x2/1.0) + x3*exp(-x4^2)",
+        "-pi",
+    )
+
+    def test_sparse_grid_equals_fftn_bit_for_bit_at_benchmark_size(self):
+        box = (2.0, 1.0, 1.0, 1.5)
+        for f in self.BENCHMARK_DATA:
+            for cutoff in (2, 3, 4):
+                got = np.array(list(fourier_coefficients(f, box, cutoff, 32).values()))
+                want = np.array(list(fourier_coefficients_fftn(f, box, cutoff, 32).values()))
+                assert np.array_equal(got, want), (f, cutoff)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (f, cutoff)
+
+    def test_data_on_two_axes_never_fill_the_grid(self):
+        # the full 32^4 complex grid alone would take 16 MB
+        f, box = self.BENCHMARK_DATA[1], (2.0, 1.0, 1.0, 1.5)
+        fourier_coefficients(f, box, 4, 32)  # parse and FFT plans, outside the trace
+        tracemalloc.start()
+        try:
+            fourier_coefficients(f, box, 4, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_gridded_samples_accepted(self):
         grid = np.ones((16, 16))

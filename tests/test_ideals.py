@@ -19,6 +19,7 @@ from treelie import (
     maximal_ideals,
     principal_ideal,
 )
+from treelie import ideals
 from treelie.ideals import (
     LIST_GUARD,
     ORACLE_GUARD,
@@ -152,6 +153,20 @@ class TestPrincipalIdeal:
     def test_unknown_element(self):
         with pytest.raises(ValueError, match="not in the poset"):
             principal_ideal(chain([1]), 2, (7,), "up")
+
+    def test_builds_one_structure_table(self, monkeypatch):
+        # the self-check reads the table the closure came from
+        builds = []
+
+        def counting(tree, direction):
+            builds.append(direction)
+            return structure_table(tree, direction)
+
+        monkeypatch.setattr(ideals, "structure_table", counting)
+        for d, node, el in (("up", 3, (0, 2)), ("down", 1, (1, 0))):
+            builds.clear()
+            principal_ideal(chain([1, 2]) if d == "up" else chain([1, 1]), node, el, d)
+            assert builds == [d]
 
     def test_equals_bracket_generated_closure(self):
         # oracle: close the generator under bracketing with every basis
