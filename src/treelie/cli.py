@@ -23,20 +23,18 @@ __all__ = ["main", "run_cli"]
 # the bch order, whose work grows about as k^3 and whose coefficients
 # grow toward Python's 4300-digit str() limit; and the dim of info, basis
 # and ideals, from its closed form, as structure_table grows with the number
-# of non-commuting basis pairs, about dim^2 on chains. On a 2-vCPU Xeon,
-# bch --k 1000 takes about 14 s, and verify_structure 0.44 s at dim
-# 2 076, 2.7 s at 6 092, 6.7 s at 7 381 and 13 s at 9 870.
+# of non-commuting basis pairs, about dim^2 on chains. solve-first guards
+# the upward dim, which is the total term count of eta. On a 2-vCPU Xeon,
+# bch --k 1000 takes about 21 s, verify_structure 0.44 s at dim 2 076,
+# 2.7 s at 6 092, 6.7 s at 7 381 and 13 s at 9 870, and solve-first on
+# chain([1]*139) (upward dim 9 870) 0.5 s, 4.1 s with --verify exact and
+# 4.5 s with --verify numeric.
 MAX_CSV_ROWS = 1_000_000
 MAX_BCH_K = 1000
 MAX_DIM = 10_000
 # the dim count runs one series pass per simplex coefficient up to the
 # bound: at 10^6 with 17 coefficients it takes about 1.4 s
 MAX_SIMPLEX_BOUND = 1_000_000
-# solve-first --verify exact expands f(x + eta) exactly, which grows with
-# the degree of f, with n and with the nilpotence: (x1+...+xn)^6 takes
-# 2.1 s on chain([2,2,2]) and 2.6 s on chain([1]*6), ^8 takes 16 s on
-# chain([2,2,2]) and 51 s on chain([1]*6)
-MAX_F_DEGREE = 6
 
 
 class _CliError(Exception):
@@ -228,12 +226,7 @@ def _cmd_solve_first(ns) -> dict:
     if len(x) != tree.n:
         raise _CliError(f"expected {tree.n} coordinates, got {len(x)}")
     ast = expressions.parse_expression(ns.f, tree.n)
-    if ns.verify == "exact":
-        degree = expressions.degree_bound(ast)
-        if degree > MAX_F_DEGREE:
-            raise SizeGuardError(
-                f"--f degree up to {degree} exceeds the --verify exact guard of {MAX_F_DEGREE}"
-            )
+    _guard_dim(tree, "up")
     with _numpy_quiet():
         solution = firstorder.solve_first_order(tree, ast)
         doc = {"u": solution(ns.t, x)}

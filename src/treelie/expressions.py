@@ -31,7 +31,6 @@ __all__ = [
     "parse_expression",
     "evaluate",
     "to_multipoly",
-    "degree_bound",
 ]
 
 
@@ -280,65 +279,3 @@ def to_multipoly(node: ExprNode) -> MultiPoly:
                 raise ExpressionError("divisor must be a nonzero constant")
             return a * MultiPoly.const(Fraction(1) / c)
     raise TypeError(f"unknown node {node!r}")
-
-
-# a constant power past this many bits counts as unbounded
-_CONSTANT_BITS = 1 << 16
-
-
-def degree_bound(node: ExprNode):
-    """An upper bound on the total degree of ``to_multipoly(node)``, read
-    off the syntax tree without building any polynomial: a sum has at most
-    the larger degree, a product the sum, a power the base's degree times
-    the exponent. What ``to_multipoly`` rejects counts as degree 0, and an
-    exponent too large to evaluate gives ``math.inf``."""
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, Neg):
-        return degree_bound(node.arg)
-    if isinstance(node, BinOp):
-        left = degree_bound(node.left)
-        if node.op == "^":
-            exponent = _constant(node.right) if left else None
-            if exponent is None or exponent <= 0:
-                return 0
-            if exponent == math.inf:
-                return math.inf
-            return left * exponent.numerator if exponent.denominator == 1 else 0
-        right = degree_bound(node.right)
-        if node.op == "*":
-            return left + right
-        return left if node.op == "/" else max(left, right)
-    return 0  # numbers, pi and calls
-
-
-def _constant(node: ExprNode):
-    """The exact value of a variable-free polynomial-mode expression, None
-    where ``to_multipoly`` would give no constant, and ``math.inf`` once a
-    power passes _CONSTANT_BITS bits."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        value = _constant(node.arg)
-        return None if value is None else -value
-    if not isinstance(node, BinOp):
-        return None
-    a, b = _constant(node.left), _constant(node.right)
-    if a is None or b is None:
-        return None
-    if math.inf in (abs(a), abs(b)):
-        return math.inf
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b if b else None
-    if b < 0 or b.denominator != 1:
-        return None
-    bits = max(a.numerator.bit_length(), a.denominator.bit_length())
-    if abs(a) != 1 and a and b * bits > _CONSTANT_BITS:
-        return math.inf
-    return a ** int(b)

@@ -424,11 +424,6 @@ def enumerate_ideals(
     return ideals
 
 
-def count_admissible_pairs(tree: TreeDiagram) -> int:
-    """Number of admissible generator data, zero ideal not included."""
-    return sum(1 for _ in _up_admissible(tree, structure_table(tree, "up")))
-
-
 def brute_force_ideals(
     tree: TreeDiagram, direction: str, table: Optional[StructureTable] = None
 ) -> List[Tuple[Root, ...]]:

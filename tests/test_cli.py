@@ -5,19 +5,18 @@ import json
 import os
 import subprocess
 import sys
-from math import prod
+from math import prod, sin
 
 import pytest
 
 import treelie
 from treelie import (
-    build_tree, chain, expressions, firstorder, heat, ideals, liealg, star, tree_to_dict, trees,
+    build_tree, chain, firstorder, heat, ideals, liealg, star, tree_to_dict, trees,
 )
 from treelie.cli import (
     MAX_BCH_K,
     MAX_CSV_ROWS,
     MAX_DIM,
-    MAX_F_DEGREE,
     MAX_SIMPLEX_BOUND,
     _guard_dim,
     main,
@@ -235,8 +234,10 @@ class TestSolveFirst:
 
 
 class TestDegreeGuard:
-    """solve-first --verify exact refuses an f of high degree from its
-    syntax tree, before any polynomial is built."""
+    """solve-first puts no bound on the degree of f: exact verification
+    checks the coordinate residuals of x + eta, whatever f is. Its one
+    guard is the upward dim, which equals the number of terms of eta, and
+    it runs before eta is built in every mode."""
 
     @pytest.fixture()
     def no_work(self, monkeypatch):
@@ -244,25 +245,19 @@ class TestDegreeGuard:
             raise AssertionError("polynomial work started before the size guard")
 
         monkeypatch.setattr(firstorder, "eta_family", refuse)
-        monkeypatch.setattr(expressions, "to_multipoly", refuse)
 
-    @pytest.mark.parametrize("f, degree", [
-        ("(x1+x2+x3)^20", "20"), (f"x1^{MAX_F_DEGREE} * x2", str(MAX_F_DEGREE + 1)),
-        ("x1^2^2^2^2^2^2", "inf"),
-    ])
-    def test_guard_before_any_polynomial_work(self, tree_file, capsys, no_work, f, degree):
-        path = tree_file("a3.json", chain([2, 1]))
-        argv = ["solve-first", path, "--f", f, "--t", "0.1", "--x", "0,0,0", "--verify", "exact"]
-        code, out, err = run(argv, capsys)
+    @pytest.mark.parametrize("verify", [[], ["--verify", "exact"], ["--verify", "numeric"]])
+    def test_dim_guard_before_eta(self, tree_file, capsys, no_work, verify):
+        tree = chain([2] * 6)
+        dim = liealg.dim_and_nilpotence(tree, "up")[0]
+        assert dim > MAX_DIM
+        path = tree_file("a7.json", tree)
+        argv = ["solve-first", path, "--f", "x1", "--t", "0.1", "--x", ",".join(["0"] * 7)]
+        code, out, err = run(argv + verify, capsys)
         assert code == 2 and out == ""
-        assert err == (
-            f"size guard: --f degree up to {degree} exceeds the --verify exact guard"
-            f" of {MAX_F_DEGREE}\n"
-        )
-        # the benchmark and the tests verify f of degree 3 at most
-        assert 3 <= MAX_F_DEGREE
+        assert err.startswith("size guard: dim ") and err.endswith(f"the guard of {MAX_DIM}\n")
 
-    @pytest.mark.parametrize("verify", [[], ["--verify", "numeric"]])
+    @pytest.mark.parametrize("verify", [[], ["--verify", "exact"], ["--verify", "numeric"]])
     def test_other_modes_are_not_guarded(self, tree_file, capsys, verify):
         path = tree_file("a3.json", chain([2, 1]))
         argv = ["solve-first", path, "--f", "(x1+x2+x3)^20", "--t", "0.1", "--x", "0,0,0.1"]
@@ -271,10 +266,19 @@ class TestDegreeGuard:
 
     def test_at_the_guard_exact_verification_runs(self, tree_file, capsys):
         path = tree_file("a2.json", chain([1]))
-        argv = ["solve-first", path, "--f", f"(x1+x2)^{MAX_F_DEGREE}", "--t", "0.1",
+        argv = ["solve-first", path, "--f", "(x1+x2)^6", "--t", "0.1",
                 "--x", "0,0", "--verify", "exact"]
         code, out, _ = run(argv, capsys)
         assert code == 0 and json.loads(out)["verified"] is True
+
+    def test_non_polynomial_f_verifies_exactly(self, tree_file, capsys):
+        path = tree_file("a3.json", chain([1, 2]))
+        argv = ["solve-first", path, "--f", "sin(x1)", "--t", "0.1",
+                "--x", "0,0,0", "--verify", "exact"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["verified"] is True and doc["u"] == pytest.approx(sin(0.1))
 
 
 class TestOneTablePerRequest:

@@ -6,6 +6,8 @@ from math import exp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelie import (
     bch_coefficients,
@@ -16,11 +18,13 @@ from treelie import (
     solve_first_order,
     verify_first_order,
 )
-from treelie.firstorder import bch_coefficient_nested_sum
+from treelie.firstorder import EtaFamily, bch_coefficient_nested_sum
+from treelie.liealg import dim_and_nilpotence
 from treelie.polynomials import MultiPoly
 
 from . import poly_oracle
-from .corpus import CORPUS
+from .corpus import CORPUS, small_trees
+from .residual_oracle import f_residual
 
 X1 = MultiPoly.var("x1")
 X2 = MultiPoly.var("x2")
@@ -97,6 +101,14 @@ class TestEtaFamily:
                 allowed = {"t"} | {f"x{q}" for q in tree.clan(i)[:-1]}
                 assert fam.eta[i].variables_used() <= allowed
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_trees())
+    def test_term_count_is_upward_dim(self, tree):
+        # the premise of the solve-first size guard, which bounds eta by
+        # the upward dim
+        terms = sum(len(p.terms) for p in eta_family(tree).eta.values())
+        assert terms == dim_and_nilpotence(tree, "up")[0]
+
 
 class TestSolveFirstOrder:
     def test_single_edge_closed_form(self):
@@ -120,12 +132,24 @@ class TestSolveFirstOrder:
             sol(0.1, [1.0])
 
 
+def _polynomials(n):
+    """Random polynomials in x1..xn of degree at most 3, as CLI text."""
+    term = st.tuples(st.integers(-3, 3), st.lists(st.integers(1, n), max_size=3))
+    return st.lists(term, min_size=1, max_size=4).map(
+        lambda terms: " + ".join(
+            "*".join([str(c)] + [f"x{i}" for i in factors]) for c, factors in terms
+        )
+    )
+
+
 class TestVerifyExact:
     def test_square_of_last_variable(self):
         report = verify_first_order(eta_family(chain([1, 2])), "x3^2", mode="exact")
-        assert report.ok and report.residual.is_zero
+        assert report.ok and len(report.residual) == 3
+        assert all(r.is_zero for r in report.residual)
 
     def test_corpus_cubics(self):
+        # the coordinate residuals and the f-substitution oracle agree
         for _, tree in CORPUS:
             last = tree.n
             fs = ["x1^3"]
@@ -133,13 +157,39 @@ class TestVerifyExact:
                 fs.append(f"x{last}^2 + 2*x1*x{last}")
             if tree.n >= 3:
                 fs.append(f"x1*x2*x{last} - x2^3/3")
+            family = eta_family(tree)
             for f in fs:
-                report = verify_first_order(eta_family(tree), f, mode="exact")
+                report = verify_first_order(family, f, mode="exact")
                 assert report.ok, (tree, f)
+                assert f_residual(family, f).is_zero, (tree, f)
 
-    def test_requires_polynomial(self):
-        with pytest.raises(Exception):
-            verify_first_order(eta_family(chain([1])), "sin(x1)", mode="exact")
+    @settings(max_examples=40, deadline=None)
+    @given(small_trees(), st.data())
+    def test_random_polynomials_match_oracle(self, tree, data):
+        family = eta_family(tree)
+        f = data.draw(_polynomials(tree.n))
+        assert verify_first_order(family, f, mode="exact").ok
+        assert f_residual(family, f).is_zero
+
+    def test_non_polynomial_f(self):
+        report = verify_first_order(eta_family(chain([1])), "sin(x1)", mode="exact")
+        assert report.ok
+
+    def test_malformed_f_is_an_error(self):
+        with pytest.raises(ValueError):
+            verify_first_order(eta_family(chain([1])), "x1 +", mode="exact")
+
+    @pytest.mark.parametrize("node", [1, 2, 3, 4])
+    def test_perturbed_eta_fails_at_its_node(self, node):
+        family = eta_family(chain([1, 2, 1]))
+        eta = dict(family.eta)
+        eta[node] = eta[node] + T ** 2
+        report = verify_first_order(EtaFamily(tree=family.tree, eta=eta), "x1", mode="exact")
+        assert not report.ok
+        # d/dt of the t^2 term, and nothing at any other node
+        assert report.residual == tuple(
+            T * 2 if j == node else MultiPoly.zero() for j in range(1, 5)
+        )
 
 
 class TestVerifyNumeric:
