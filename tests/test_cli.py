@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from math import prod, sin
+from math import cos, prod, sin, sqrt
 
 import pytest
 
@@ -271,14 +271,27 @@ class TestDegreeGuard:
         code, out, _ = run(argv, capsys)
         assert code == 0 and json.loads(out)["verified"] is True
 
-    def test_non_polynomial_f_verifies_exactly(self, tree_file, capsys):
+    @pytest.mark.parametrize("f", ["x1^7 * x2", "(x1+x2)^12"])
+    def test_degree_above_six_verifies_exactly(self, tree_file, capsys, f):
+        # these exited 2 under the former f-degree guard of 6
+        path = tree_file("a3.json", chain([2, 1]))
+        argv = ["solve-first", path, "--f", f, "--t", "0.1", "--x", "0,0,0", "--verify", "exact"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verified"] is True
+
+    # on chain([1, 2]) at x = 0 and t = 0.1, x + eta is (0.1, 0.005, 5e-7)
+    @pytest.mark.parametrize("f, u", [
+        ("sin(x1)", sin(0.1)), ("x1^(1/2)", sqrt(0.1)), ("cos(x2) + x3^(0-1)", cos(0.005) + 2e6),
+    ])
+    def test_non_polynomial_f_verifies_exactly(self, tree_file, capsys, f, u):
         path = tree_file("a3.json", chain([1, 2]))
-        argv = ["solve-first", path, "--f", "sin(x1)", "--t", "0.1",
+        argv = ["solve-first", path, "--f", f, "--t", "0.1",
                 "--x", "0,0,0", "--verify", "exact"]
         code, out, err = run(argv, capsys)
         assert code == 0 and err == ""
         doc = json.loads(out)
-        assert doc["verified"] is True and doc["u"] == pytest.approx(sin(0.1))
+        assert doc["verified"] is True and doc["u"] == pytest.approx(u)
 
 
 class TestOneTablePerRequest:

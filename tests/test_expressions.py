@@ -72,6 +72,17 @@ class TestPolynomialFolding:
         with pytest.raises(ExpressionError):
             to_multipoly(parse_expression("x1^(1/0)", 1))
 
+    @pytest.mark.parametrize("text", [
+        "x1^2*x2 + 1/3", "(x1+x2)^3/2", "x1^2^3", "x1^(4/2) - x2", "(x1*x2)^0 + 1",
+        "(x1^2)^(1+2)*x2", "(x1 - x2)*(x1 + x2)^2",
+    ])
+    def test_fold_matches_evaluation(self, text):
+        ast = parse_expression(text, 2)
+        poly = to_multipoly(ast)
+        for x in ([0.0, 0.0], [1.5, -0.5], [-2.0, 3.0]):
+            expected = evaluate(ast, x)
+            assert poly.eval_float({"x1": x[0], "x2": x[1]}) == pytest.approx(expected)
+
     def test_pi_folds_only_at_evaluation(self):
         ast = parse_expression("2*pi", 1)
         assert isinstance(ast, BinOp) and isinstance(ast.right, Pi)

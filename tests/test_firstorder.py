@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelie import (
+    ExpressionError,
     bch_coefficients,
     chain,
     eta_family,
     eta_general_numeric,
     flow_rk4,
+    parse_expression,
     solve_first_order,
+    to_multipoly,
     verify_first_order,
 )
 from treelie.firstorder import EtaFamily, bch_coefficient_nested_sum
@@ -171,13 +174,22 @@ class TestVerifyExact:
         assert verify_first_order(family, f, mode="exact").ok
         assert f_residual(family, f).is_zero
 
-    def test_non_polynomial_f(self):
-        report = verify_first_order(eta_family(chain([1])), "sin(x1)", mode="exact")
+    @pytest.mark.parametrize("f", [
+        "sin(x1)", "sin(x1)^9", "x1^(1/2)", "x1^x2", "x1^(0-1)", "exp(x2)*cos(x3)",
+    ])
+    def test_non_polynomial_f(self, f):
+        # f(x + eta) has no polynomial expansion, so only the coordinate
+        # residuals can settle it exactly
+        with pytest.raises(ExpressionError):
+            to_multipoly(parse_expression(f, 3))
+        report = verify_first_order(eta_family(chain([1, 2])), f, mode="exact")
         assert report.ok
 
-    def test_malformed_f_is_an_error(self):
-        with pytest.raises(ValueError):
-            verify_first_order(eta_family(chain([1])), "x1 +", mode="exact")
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    @pytest.mark.parametrize("f", ["x1 +", "x4", "foo(x1)", "1 2", ""])
+    def test_malformed_f_is_an_error(self, f, mode):
+        with pytest.raises(ExpressionError):
+            verify_first_order(eta_family(chain([1, 2])), f, mode=mode)
 
     @pytest.mark.parametrize("node", [1, 2, 3, 4])
     def test_perturbed_eta_fails_at_its_node(self, node):
