@@ -10,7 +10,6 @@ from .firstorder import (
     bch_coefficients,
     eta_family,
     eta_general_numeric,
-    flow_rk4,
     solve_first_order,
     verify_first_order,
 )

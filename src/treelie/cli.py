@@ -27,11 +27,18 @@ __all__ = ["main", "run_cli"]
 # the upward dim, which is the total term count of eta. On a 2-vCPU Xeon,
 # bch --k 1000 takes about 21 s, verify_structure 0.44 s at dim 2 076,
 # 2.7 s at 6 092, 6.7 s at 7 381 and 13 s at 9 870, and solve-first on
-# chain([1]*139) (upward dim 9 870) 0.5 s, 4.1 s with --verify exact and
-# 4.5 s with --verify numeric.
+# chain([1]*139) (upward dim 9 870) 0.5 s, 5.0 s with --verify exact and
+# 0.7-1.9 s with --verify numeric.
 MAX_CSV_ROWS = 1_000_000
 MAX_BCH_K = 1000
 MAX_DIM = 10_000
+# solve-first --verify numeric integrates on upward nilpotence + 1 points,
+# at a cost of about 100 starts x points^2 per non-tip node, and the dim
+# guard leaves the nilpotence as high as the dim. On the same Xeon the
+# worst tree found inside both guards, a weight-498 edge beside 1 900
+# two-node branches (3 802 nodes, dim 10 000, nilpotence 499), takes
+# 2.7 s with --verify numeric, and star(20) of weight 498 1.7 s.
+MAX_FLOW_NILPOTENCE = 500
 # the dim count runs one series pass per simplex coefficient up to the
 # bound: at 10^6 with 17 coefficients it takes about 1.4 s
 MAX_SIMPLEX_BOUND = 1_000_000
@@ -226,7 +233,11 @@ def _cmd_solve_first(ns) -> dict:
     if len(x) != tree.n:
         raise _CliError(f"expected {tree.n} coordinates, got {len(x)}")
     ast = expressions.parse_expression(ns.f, tree.n)
-    _guard_dim(tree, "up")
+    _, nilp = _guard_dim(tree, "up")
+    if ns.verify == "numeric" and nilp > MAX_FLOW_NILPOTENCE:
+        raise SizeGuardError(
+            f"upward nilpotence {nilp} exceeds the --verify numeric guard of {MAX_FLOW_NILPOTENCE}"
+        )
     with _numpy_quiet():
         solution = firstorder.solve_first_order(tree, ast)
         doc = {"u": solution(ns.t, x)}

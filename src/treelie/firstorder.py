@@ -11,12 +11,21 @@ sum x_p^w d/dx_c and Phi = x + eta. By the chain rule
 u_t - D u = grad f(Phi) . (Phi_t - D Phi), so u solves the equation for
 every f exactly when the n coordinate residuals Phi_t - D Phi vanish.
 
+The numeric check integrates the same flow without eta. The field is
+triangular, x_1' = 1 and x_j' = x_p^w, so each coordinate x_j(s) of the
+characteristic is a polynomial in s of degree h(j), the upward height
+h(1) = 1, h(j) = 1 + w h(p), and the largest h is the upward
+nilpotence. Its spectral flow interpolates on N = nilpotence + 1
+Chebyshev-Lobatto points of [0, t] and integrates each node's field with
+one N x N matrix, parents first, which is exact up to rounding.
+
 numpy is imported inside the numeric functions, so loading this module
 (and computing eta exactly or the bch series) does not load numpy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -35,16 +44,13 @@ __all__ = [
     "FirstOrderSolution",
     "solve_first_order",
     "verify_first_order",
-    "flow_rk4",
     "eta_general_numeric",
     "FLOW_TOLERANCE",
     "QUADRATURE_TOLERANCE",
-    "RK4_STEPS",
 ]
 
 FLOW_TOLERANCE = 1e-6
 QUADRATURE_TOLERANCE = 1e-9
-RK4_STEPS = 1000
 # the numeric check: random starts and times in [-1, 1], from a fixed seed
 NUMERIC_SAMPLES = 100
 NUMERIC_SEED = 20240817
@@ -154,45 +160,113 @@ def solve_first_order(tree: TreeDiagram, f) -> FirstOrderSolution:
     return FirstOrderSolution(tree=tree, family=eta_family(tree), f_ast=ast)
 
 
-def _vector_field(tree: TreeDiagram):
-    # field runs once per RK4 stage, so it uses this import, not its own
+def _shifted_points(family: EtaFamily, starts, times) -> np.ndarray:
+    """x + eta at many (t, x) at once: starts (samples, n), times
+    (samples,). Per node, each variable's column of powers scales only
+    the terms that hold it, and one product with the coefficients sums
+    the terms."""
     import numpy as np
 
-    pw = [(tree.parent(j), tree.weight(j)) for j in range(2, tree.n + 1)]
+    columns = {"t": times}
+    columns.update((f"x{i}", starts[:, i - 1]) for i in range(1, family.tree.n + 1))
+    out = np.array(starts, dtype=float)
+    for j in range(1, family.tree.n + 1):
+        poly = family.eta[j]
+        terms = poly.terms
+        exps = np.array(list(terms), dtype=np.intp).reshape(len(terms), len(poly.variables))
+        monomials = np.ones((len(times), len(terms)))
+        for v, e in zip(poly.variables, exps.T):
+            held = np.flatnonzero(e)
+            # powers 0..max(e) of the column, by running products
+            powers = np.ones((len(times), e.max() + 1))
+            factors = np.broadcast_to(columns[v][:, None], (len(times), e.max()))
+            np.cumprod(factors, axis=1, out=powers[:, 1:])
+            monomials[:, held] *= powers[:, e[held]]
+        out[:, j - 1] += monomials @ np.array([float(c) for c in terms.values()])
+    return out
 
-    def field(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        out[..., 0] = 1.0
-        for k, (p, w) in enumerate(pw):
-            out[..., k + 1] = x[..., p - 1] ** w
-        return out
 
-    return field
+def _flow_points(tree: TreeDiagram) -> int:
+    """N = (the largest upward height) + 1 interpolation points, one more
+    than the largest degree in s of a coordinate of the flow."""
+    height = [0, 1] + [0] * (tree.n - 1)
+    for j in range(2, tree.n + 1):
+        height[j] = 1 + tree.weight(j) * height[tree.parent(j)]
+    return max(height) + 1
 
 
-def flow_rk4(tree: TreeDiagram, x0, t, steps: int = RK4_STEPS) -> np.ndarray:
-    """Characteristic flow by fixed-step RK4, the numeric oracle.
+@functools.lru_cache(maxsize=8)
+def _integration_matrix(points: int) -> np.ndarray:
+    """S with (S g)_i the integral from 0 to tau_i of the polynomial that
+    interpolates g at the Chebyshev-Lobatto points tau_i of [0, 1],
+    ascending from tau_0 = 0 to tau_{N-1} = 1; exact for g of degree < N.
 
-    x0 is one start of shape (n,) with a scalar time t, or a batch of
-    starts of shape (samples, n) with one time per start, t of shape
-    (samples,); each start takes steps steps of size t/steps, and the
-    result has the shape of x0. The batch integrates every start in the
-    same array operations, with the arithmetic of one start at a time.
-    """
+    With x = 2 tau - 1 = cos(theta_i), T_k(x_i) = cos(k theta_i), and
+    the discrete cosine sum inverts the interpolation; the antiderivative
+    of T_k from -1 is x + 1, (x^2 - 1)/2, and for k >= 2
+    T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)) less its value at -1."""
     import numpy as np
 
-    field = _vector_field(tree)
-    x = np.array(x0, dtype=float)
-    h = np.asarray(t, dtype=float) / steps
-    if x.ndim == 2:
-        h = h.reshape(-1, 1)
-    for _ in range(steps):
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
+    last = points - 1
+    theta = np.pi * np.arange(last, -1, -1) / last
+    cheb = np.cos(np.outer(theta, np.arange(points + 1)))  # T_k(x_i), k <= N
+    x = cheb[:, 1]
+    anti = np.empty((points, points))
+    anti[:, 0] = x + 1.0
+    anti[:, 1] = (x * x - 1.0) / 2.0
+    k = np.arange(2, points)
+    sign = np.where(k % 2 == 0, -1.0, 1.0)  # T_{k+1}(-1) = T_{k-1}(-1) = -(-1)^k
+    anti[:, 2:] = (cheb[:, 3:] - sign) / (2 * (k + 1)) - (cheb[:, 1:-2] - sign) / (2 * (k - 1))
+    halve = np.ones(points)
+    halve[[0, -1]] = 0.5
+    inverse = (2.0 / last) * (halve[:, None] * cheb[:, :points].T * halve[None, :])
+    matrix = 0.5 * anti @ inverse  # d tau = dx / 2
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _spectral_flow(tree: TreeDiagram, starts, times) -> np.ndarray:
+    """The characteristic flow of x_1' = 1, x_j' = x_p^w from each start
+    (samples, n) for its own time (samples,), as a (samples, n) array.
+
+    On tau = s / t in [0, 1] each node is X_j = x0_j + t (X_p^w) S^T,
+    parents first, with S the integration matrix; every grid column is
+    then exact, and the last one, tau = 1, is the flow at time t. A tip
+    needs only that column. Nodes are visited depth first, so the grids
+    held at once are those of one path from the root."""
+    import numpy as np
+
+    starts = np.asarray(starts, dtype=float)
+    times = np.asarray(times, dtype=float)[:, None]
+    integrate = _integration_matrix(_flow_points(tree)).T
+    children = [[] for _ in range(tree.n + 1)]
+    for p, c, w in tree.edges():
+        children[p].append((c, w))
+    out = np.empty_like(starts)
+    stack = [(1, np.ones((len(starts), len(integrate))), 1)]
+    while stack:
+        j, parent, w = stack.pop()
+        field = parent ** w
+        if children[j]:
+            grid = starts[:, j - 1 : j] + times * (field @ integrate)
+            out[:, j - 1] = grid[:, -1]
+            stack.extend((c, grid, weight) for c, weight in children[j])
+        else:
+            out[:, j - 1] = starts[:, j - 1] + times[:, 0] * (field @ integrate[:, -1])
+    return out
+
+
+def _numeric_samples(n: int):
+    """The numeric check's starts (NUMERIC_SAMPLES, n) and times."""
+    import numpy as np
+
+    rng = np.random.default_rng(NUMERIC_SEED)
+    starts = np.empty((NUMERIC_SAMPLES, n))
+    times = np.empty(NUMERIC_SAMPLES)
+    for s in range(NUMERIC_SAMPLES):
+        starts[s] = rng.uniform(-1.0, 1.0, n)
+        times[s] = rng.uniform(-1.0, 1.0)
+    return starts, times
 
 
 @dataclass(frozen=True)
@@ -214,8 +288,9 @@ def verify_first_order(family: EtaFamily, f, mode: str = "exact") -> FirstOrderR
     polynomial; ``residual`` holds them in node order. As
     u_t - D u = grad f(x + eta) . R, this proves u = f(x + eta) for every
     f, polynomial or not.
-    numeric: RK4 characteristics from NUMERIC_SAMPLES random starts must
-    match x + eta to within the flow tolerance.
+    numeric: the spectral flow, which integrates the field without eta,
+    from NUMERIC_SAMPLES random starts must match x + eta to within the
+    flow tolerance.
     """
     tree = family.tree
     if isinstance(f, str):
@@ -236,17 +311,9 @@ def verify_first_order(family: EtaFamily, f, mode: str = "exact") -> FirstOrderR
     if mode == "numeric":
         import numpy as np
 
-        rng = np.random.default_rng(NUMERIC_SEED)
-        starts = np.empty((NUMERIC_SAMPLES, tree.n))
-        times = np.empty(NUMERIC_SAMPLES)
-        for s in range(NUMERIC_SAMPLES):
-            starts[s] = rng.uniform(-1.0, 1.0, tree.n)
-            times[s] = rng.uniform(-1.0, 1.0)
-        numeric = flow_rk4(tree, starts, times)
-        worst = 0.0
-        for x0, t, flowed in zip(starts, times, numeric):
-            exact = _shifted_point(family, t, x0)
-            worst = max(worst, float(np.max(np.abs(flowed - exact))))
+        starts, times = _numeric_samples(tree.n)
+        flowed = _spectral_flow(tree, starts, times)
+        worst = float(np.max(np.abs(flowed - _shifted_points(family, starts, times))))
         return FirstOrderReport(ok=worst <= FLOW_TOLERANCE, mode="numeric", max_error=worst)
     raise ValueError(f"mode must be 'exact' or 'numeric', got {mode!r}")
 

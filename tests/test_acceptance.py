@@ -26,7 +26,6 @@ from treelie import (
     enumerate_ideals,
     eta_family,
     fourier_coefficients,
-    flow_rk4,
     maximal_ideals,
     mode_exponent_symbolic,
     solve_heat,
@@ -42,6 +41,7 @@ from treelie.heat import _exponent_parts, _mode_table, _waves
 from treelie.polynomials import MultiPoly
 
 from .corpus import CORPUS, WIDE_Y
+from .flow_oracle import flow_rk4
 
 
 def _report(number, text):

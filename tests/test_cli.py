@@ -17,6 +17,7 @@ from treelie.cli import (
     MAX_BCH_K,
     MAX_CSV_ROWS,
     MAX_DIM,
+    MAX_FLOW_NILPOTENCE,
     MAX_SIMPLEX_BOUND,
     _guard_dim,
     main,
@@ -235,9 +236,10 @@ class TestSolveFirst:
 
 class TestDegreeGuard:
     """solve-first puts no bound on the degree of f: exact verification
-    checks the coordinate residuals of x + eta, whatever f is. Its one
-    guard is the upward dim, which equals the number of terms of eta, and
-    it runs before eta is built in every mode."""
+    checks the coordinate residuals of x + eta, whatever f is. Its guard
+    is the upward dim, which equals the number of terms of eta, and it
+    runs before eta is built in every mode; --verify numeric also guards
+    the upward nilpotence, which sets the points of the spectral flow."""
 
     @pytest.fixture()
     def no_work(self, monkeypatch):
@@ -256,6 +258,30 @@ class TestDegreeGuard:
         code, out, err = run(argv + verify, capsys)
         assert code == 2 and out == ""
         assert err.startswith("size guard: dim ") and err.endswith(f"the guard of {MAX_DIM}\n")
+
+    def test_nilpotence_guard_before_eta(self, tree_file, capsys, no_work):
+        # inside the dim guard, but the spectral flow would take 502 points
+        tree = chain([MAX_FLOW_NILPOTENCE])
+        dim, nilp = liealg.dim_and_nilpotence(tree, "up")
+        assert dim <= MAX_DIM and nilp == MAX_FLOW_NILPOTENCE + 1
+        path = tree_file("a2.json", tree)
+        argv = ["solve-first", path, "--f", "x1", "--t", "0.1", "--x", "0,0", "--verify", "numeric"]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (f"size guard: upward nilpotence {nilp} exceeds the --verify numeric "
+                       f"guard of {MAX_FLOW_NILPOTENCE}\n")
+        # chain([1]*139), the worst solve-first tree of the dim guard, stays inside
+        assert 140 <= MAX_FLOW_NILPOTENCE
+
+    @pytest.mark.parametrize("verify, past", [
+        ([], 0), (["--verify", "exact"], 0), (["--verify", "numeric"], 2),
+    ])
+    def test_nilpotence_guard_only_under_numeric(self, tree_file, capsys, verify, past):
+        # at the guard every mode runs; past it only --verify numeric stops
+        for weight, code in ((MAX_FLOW_NILPOTENCE - 1, 0), (MAX_FLOW_NILPOTENCE, past)):
+            path = tree_file("a2.json", chain([weight]))
+            argv = ["solve-first", path, "--f", "x2", "--t", "0.1", "--x", "0,0"]
+            assert run(argv + verify, capsys)[0] == code, weight
 
     @pytest.mark.parametrize("verify", [[], ["--verify", "exact"], ["--verify", "numeric"]])
     def test_other_modes_are_not_guarded(self, tree_file, capsys, verify):

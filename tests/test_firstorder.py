@@ -15,18 +15,27 @@ from treelie import (
     chain,
     eta_family,
     eta_general_numeric,
-    flow_rk4,
     parse_expression,
     solve_first_order,
     to_multipoly,
     verify_first_order,
 )
-from treelie.firstorder import EtaFamily, bch_coefficient_nested_sum
+from treelie.firstorder import (
+    EtaFamily,
+    _flow_points,
+    _integration_matrix,
+    _numeric_samples,
+    _shifted_point,
+    _shifted_points,
+    _spectral_flow,
+    bch_coefficient_nested_sum,
+)
 from treelie.liealg import dim_and_nilpotence
 from treelie.polynomials import MultiPoly
 
 from . import poly_oracle
 from .corpus import CORPUS, small_trees
+from .flow_oracle import flow_rk4
 from .residual_oracle import f_residual
 
 X1 = MultiPoly.var("x1")
@@ -228,6 +237,40 @@ class TestVerifyNumeric:
             tree = dict(CORPUS)[name]
             report = verify_first_order(eta_family(tree), "x1", mode="numeric")
             assert report.ok, (name, report.max_error)
+
+    @pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+    def test_spectral_flow_is_exact_on_the_seeded_starts(self, name):
+        # both batched routes against x + eta one start at a time
+        tree = dict(CORPUS)[name]
+        family = eta_family(tree)
+        starts, times = _numeric_samples(tree.n)
+        loop = np.array([_shifted_point(family, t, x0) for x0, t in zip(starts, times)])
+        assert np.max(np.abs(_spectral_flow(tree, starts, times) - loop)) <= 1e-12
+        assert np.max(np.abs(_shifted_points(family, starts, times) - loop)) <= 1e-12
+        assert verify_first_order(family, "x1", mode="numeric").max_error <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_trees(), st.integers(0, 2**32 - 1))
+    def test_spectral_flow_matches_rk4_oracle(self, tree, seed):
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(-1.0, 1.0, (8, tree.n))
+        times = rng.uniform(-1.0, 1.0, 8)
+        spectral = _spectral_flow(tree, starts, times)
+        np.testing.assert_allclose(spectral, flow_rk4(tree, starts, times), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 7, 16, 65, 141, 501])
+    def test_integration_matrix_is_exact_below_its_size(self, points):
+        tau = (1.0 - np.cos(np.pi * np.arange(points) / (points - 1))) / 2.0
+        matrix = _integration_matrix(points)
+        for p in range(points):
+            assert np.max(np.abs(matrix @ tau ** p - tau ** (p + 1) / (p + 1))) <= 1e-14, p
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_trees(max_weight=3))
+    def test_points_are_upward_nilpotence_plus_one(self, tree):
+        # the premise of the --verify numeric guard, which bounds the
+        # points by the closed-form nilpotence
+        assert _flow_points(tree) - 1 == dim_and_nilpotence(tree, "up")[1]
 
 
 class TestFlowSemigroup:
