@@ -257,16 +257,12 @@ def _spectral_flow(tree: TreeDiagram, starts, times) -> np.ndarray:
 
 
 def _numeric_samples(n: int):
-    """The numeric check's starts (NUMERIC_SAMPLES, n) and times."""
+    """The numeric check's starts (NUMERIC_SAMPLES, n) and times: each
+    row of draws is one start followed by its time."""
     import numpy as np
 
-    rng = np.random.default_rng(NUMERIC_SEED)
-    starts = np.empty((NUMERIC_SAMPLES, n))
-    times = np.empty(NUMERIC_SAMPLES)
-    for s in range(NUMERIC_SAMPLES):
-        starts[s] = rng.uniform(-1.0, 1.0, n)
-        times[s] = rng.uniform(-1.0, 1.0)
-    return starts, times
+    draws = np.random.default_rng(NUMERIC_SEED).uniform(-1.0, 1.0, (NUMERIC_SAMPLES, n + 1))
+    return draws[:, :n], draws[:, n]
 
 
 @dataclass(frozen=True)
