@@ -3,7 +3,7 @@ trees, the abelian ideals of their solvable extensions, and exact or
 spectral solutions of the associated evolution equations."""
 
 from .errors import ExpressionError, SizeGuardError, TreeValidationError
-from .expressions import evaluate, parse_expression, to_multipoly
+from .expressions import evaluate, parse_expression
 from .firstorder import (
     BchCoefficients,
     EtaFamily,

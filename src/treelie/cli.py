@@ -20,12 +20,14 @@ from .errors import SizeGuardError
 __all__ = ["main", "run_cli"]
 
 # desk-scale size guards, checked before any work: solve-heat --csv rows;
-# the bch order, whose work grows about as k^3 and whose coefficients
-# grow toward Python's 4300-digit str() limit; and the dim of info, basis
-# and ideals, from its closed form, as structure_table grows with the number
-# of non-commuting basis pairs, about dim^2 on chains. solve-first guards
-# the upward dim, which is the total term count of eta. On a 2-vCPU Xeon,
-# bch --k 1000 takes about 21 s, verify_structure 0.44 s at dim 2 076,
+# the bch order, for its printed digits rather than its time: a_1000 is
+# already 4 358 characters (1001! alone has 2 571 digits), and a numerator
+# or denominator passes Python's 4 300-digit str() limit near k = 1 560;
+# and the dim of info, basis and ideals, from its closed form, as
+# structure_table grows with the number of non-commuting basis pairs,
+# about dim^2 on chains. solve-first guards the upward dim, which is the
+# total term count of eta. On a 2-vCPU Xeon, bch --k 1000 takes 0.2 s in
+# process (0.33 s from a fresh process), verify_structure 0.44 s at dim 2 076,
 # 2.7 s at 6 092, 6.7 s at 7 381 and 13 s at 9 870, and solve-first on
 # chain([1]*139) (upward dim 9 870) 0.5 s, 5.0 s with --verify exact and
 # 0.7-1.9 s with --verify numeric.

@@ -1,13 +1,12 @@
-"""Arithmetic expression parsing, float evaluation, and exact polynomial
-form.
+"""Arithmetic expression parsing and float evaluation.
 
 Grammar: numbers (integer or decimal), variables x1..xn, the constant pi,
 calls sin/cos/exp, operators + - * / ^ with the usual precedence
 (^ binds tightest and associates right, then unary minus, then * /,
 then + -), and parentheses. Errors carry the byte offset.
 
-Decimal literals are held as exact fractions so polynomial-mode
-expressions stay exact; pi folds to a float only at evaluation time.
+Decimal literals are held as exact fractions; pi folds to a float only
+at evaluation time.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ExpressionError
-from .polynomials import MultiPoly
 
 __all__ = [
     "ExprNode",
@@ -30,7 +28,6 @@ __all__ = [
     "Call",
     "parse_expression",
     "evaluate",
-    "to_multipoly",
 ]
 
 
@@ -241,41 +238,3 @@ def evaluate(node: ExprNode, values: Sequence[float]):
         return math.nan if isinstance(power, complex) else power
     raise TypeError(f"unknown node {node!r}")
 
-
-# ------------------------------------------------------------- polynomials
-
-
-def to_multipoly(node: ExprNode) -> MultiPoly:
-    """Exact polynomial form; rejects pi, transcendentals, non-constant
-    divisors, and non-integer exponents."""
-    if isinstance(node, Num):
-        return MultiPoly.const(node.value)
-    if isinstance(node, Pi):
-        raise ExpressionError("pi is not allowed in polynomial mode")
-    if isinstance(node, Var):
-        return MultiPoly.var(f"x{node.index}")
-    if isinstance(node, Neg):
-        return -to_multipoly(node.arg)
-    if isinstance(node, Call):
-        raise ExpressionError(f"{node.fn} is not allowed in polynomial mode")
-    if isinstance(node, BinOp):
-        a = to_multipoly(node.left)
-        if node.op == "^":
-            b = to_multipoly(node.right)
-            c = b.constant_term()
-            if b.variables_used() or c.denominator != 1 or c < 0:
-                raise ExpressionError("exponent must be a nonnegative integer")
-            return a ** int(c)
-        b = to_multipoly(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            c = b.constant_term()
-            if b.variables_used() or c == 0:
-                raise ExpressionError("divisor must be a nonzero constant")
-            return a * MultiPoly.const(Fraction(1) / c)
-    raise TypeError(f"unknown node {node!r}")

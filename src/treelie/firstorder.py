@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from . import expressions
 from .polynomials import MultiPoly
@@ -39,7 +38,6 @@ __all__ = [
     "BchCoefficients",
     "EtaFamily",
     "bch_coefficients",
-    "bch_coefficient_nested_sum",
     "eta_family",
     "FirstOrderSolution",
     "solve_first_order",
@@ -70,44 +68,36 @@ class BchCoefficients:
 
 
 def bch_coefficients(order: int) -> BchCoefficients:
-    """Exact series inversion of (1 - exp(-x))/x up to the given order."""
+    """The series a and theta up to the given order, in integer arithmetic.
+
+    a_0 = 1, a_1 = 1/2, every odd a past a_1 is 0 and a_2m = B_2m/(2m)!,
+    with B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent
+    numbers T_m of Brent and Harvey's in-place recurrence (Fast computation
+    of Bernoulli, Tangent and Secant numbers, 2011). Each coefficient is one
+    Fraction over a running factorial, so it costs one gcd.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    theta = tuple(
-        Fraction((-1) ** i, factorial(i + 1)) for i in range(order + 1)
-    )
-    a: List[Fraction] = [Fraction(1)]
-    for k in range(1, order + 1):
-        a.append(-sum(theta[j] * a[k - j] for j in range(1, k + 1)))
-    return BchCoefficients(a=tuple(a), theta=theta)
-
-
-def bch_coefficient_nested_sum(k: int) -> Fraction:
-    """Independent route to the k-th regrouping coefficient: the double sum
-    over compositions p_1 + ... + p_m = k + 1 - m with factorial weights."""
-    if k == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for m in range(1, k + 2):
-        s = k + 1 - m
-        if s < 0:
-            continue
-        for combo in _compositions(s, m):
-            denom = 1
-            for p in combo[:-1]:
-                denom *= factorial(p + 1)
-            denom *= factorial(combo[-1])
-            total += Fraction((-1) ** (m - 1), m * denom)
-    return total
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    half = order // 2
+    tangent = [0, 1] + [0] * (half - 1)
+    for j in range(2, half + 1):
+        tangent[j] = (j - 1) * tangent[j - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    a = [Fraction(1), Fraction(1, 2)]
+    theta = [Fraction(1), Fraction(-1, 2)]
+    fact = 2  # i! at step i
+    for i in range(2, order + 1):
+        if i % 2:
+            a.append(Fraction(0))
+        else:
+            m = i // 2
+            four = 4 ** m
+            a.append(Fraction((-1) ** (m - 1) * i * tangent[m], four * (four - 1) * fact))
+        fact *= i + 1
+        theta.append(Fraction((-1) ** i, fact))
+    return BchCoefficients(a=tuple(a[:order + 1]), theta=tuple(theta[:order + 1]))
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,6 @@ class MultiPoly:
         out = {e[:i] + e[i + 1:]: c for e, c in self.num.items() if e[i] == power}
         return _make(vs, out, self.den)
 
-    def constant_term(self):
-        return Fraction(self.num.get((0,) * len(self.variables), 0), self.den)
-
     # ----------------------------------------------------------- arithmetic
     def _promote(self, other):
         if isinstance(other, MultiPoly):

@@ -6,13 +6,16 @@ of (variable, exponent) pairs, exponents positive) to a nonzero Fraction.
 ``substitute`` expands one term at a time and adds each piece to the
 sum, ``integrate_from_zero`` adds one term at a time, and the eta and
 xi~ families are built with ``substitute`` where the library renames
-variables.
+variables. ``to_multipoly`` folds a parsed polynomial expression into a
+MultiPoly, so a test can expand f itself.
 """
 
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, Sequence
 
+from treelie.errors import ExpressionError
+from treelie.expressions import BinOp, Call, ExprNode, Neg, Num, Pi, Var
 from treelie.polynomials import MultiPoly
 
 
@@ -116,3 +119,37 @@ def xi_family(tree, orders: Sequence[int]) -> Dict[int, MultiPoly]:
                 inner = add(inner, substitute(xi[s], {"t": var("y1")}))
             xi[i] = integrate_from_zero(power(inner, orders[i - 1]), "y1", "t")
     return {i: to_poly(p) for i, p in xi.items()}
+
+
+def to_multipoly(node: ExprNode) -> MultiPoly:
+    """Exact polynomial form; rejects pi, transcendentals, non-constant
+    divisors, and non-integer exponents."""
+    if isinstance(node, Num):
+        return MultiPoly.const(node.value)
+    if isinstance(node, Pi):
+        raise ExpressionError("pi is not allowed in polynomial mode")
+    if isinstance(node, Var):
+        return MultiPoly.var(f"x{node.index}")
+    if isinstance(node, Neg):
+        return -to_multipoly(node.arg)
+    if isinstance(node, Call):
+        raise ExpressionError(f"{node.fn} is not allowed in polynomial mode")
+    if isinstance(node, BinOp):
+        a = to_multipoly(node.left)
+        b = to_multipoly(node.right)
+        c = b.terms.get((0,) * len(b.variables), Fraction(0))
+        if node.op == "^":
+            if b.variables_used() or c.denominator != 1 or c < 0:
+                raise ExpressionError("exponent must be a nonnegative integer")
+            return a ** int(c)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if b.variables_used() or c == 0:
+                raise ExpressionError("divisor must be a nonzero constant")
+            return a * MultiPoly.const(1 / c)
+    raise TypeError(f"unknown node {node!r}")

@@ -8,8 +8,10 @@ u = f(x + eta) and returns the residual u_t - (d/dx_1 + sum over edges
 equation.
 """
 
-from treelie.expressions import parse_expression, to_multipoly
+from treelie.expressions import parse_expression
 from treelie.polynomials import MultiPoly
+
+from .poly_oracle import to_multipoly
 
 
 def f_residual(family, f: str) -> MultiPoly:

@@ -36,10 +36,11 @@ from treelie import (
     xi_family,
 )
 from treelie.cli import main as cli_main
-from treelie.firstorder import bch_coefficient_nested_sum, bch_coefficients
+from treelie.firstorder import bch_coefficients
 from treelie.heat import _exponent_parts, _mode_table, _waves
 from treelie.polynomials import MultiPoly
 
+from .bch_oracle import bch_coefficient_nested_sum
 from .corpus import CORPUS, WIDE_Y
 from .flow_oracle import flow_rk4
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import cos, prod, sin, sqrt
 
 import pytest
@@ -207,6 +208,15 @@ class TestBch:
         assert err.startswith("size guard: ") and err.count("\n") == 1
         assert "--k" in err and str(MAX_BCH_K) in err
         assert 80 < MAX_BCH_K < 1400
+
+    def test_guard_order_prints_every_digit(self, capsys):
+        # Python's str() of an int stops at 4 300 digits, and a at the
+        # guard is the longest coefficient the command prints
+        code, out, _ = run(["bch", "--k", str(MAX_BCH_K)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["a"]) == len(doc["theta"]) == MAX_BCH_K + 1
+        assert all(str(Fraction(v)) == v for v in doc["a"] + doc["theta"])
 
 
 class TestSolveFirst:

@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treelie import ExpressionError, evaluate, parse_expression, to_multipoly
+from treelie import ExpressionError, evaluate, parse_expression
 from treelie.expressions import BinOp, Pi
 from treelie.polynomials import MultiPoly
+
+from .poly_oracle import to_multipoly
 
 
 class TestParsing:

@@ -2,7 +2,7 @@
 and both verification routes for the first-order solver."""
 
 from fractions import Fraction
-from math import exp
+from math import exp, factorial
 
 import numpy as np
 import pytest
@@ -17,9 +17,9 @@ from treelie import (
     eta_general_numeric,
     parse_expression,
     solve_first_order,
-    to_multipoly,
     verify_first_order,
 )
+from treelie.cli import MAX_BCH_K
 from treelie.firstorder import (
     EtaFamily,
     _flow_points,
@@ -28,14 +28,15 @@ from treelie.firstorder import (
     _shifted_point,
     _shifted_points,
     _spectral_flow,
-    bch_coefficient_nested_sum,
 )
 from treelie.liealg import dim_and_nilpotence
 from treelie.polynomials import MultiPoly
 
 from . import poly_oracle
+from .bch_oracle import bch_coefficient_nested_sum, series_inversion
 from .corpus import CORPUS, small_trees
 from .flow_oracle import flow_rk4
+from .poly_oracle import to_multipoly
 from .residual_oracle import f_residual
 
 X1 = MultiPoly.var("x1")
@@ -63,18 +64,37 @@ class TestBchCoefficients:
             Fraction(1, 120),
         )
 
-    def test_inversion_matches_nested_sum(self):
-        data = bch_coefficients(6)
-        for k in range(7):
+    def test_matches_series_inversion(self):
+        reference = series_inversion(150)
+        for k in range(151):
+            data = bch_coefficients(k)
+            assert data.a == reference.a[:k + 1], k
+            assert data.theta == reference.theta[:k + 1], k
+
+    def test_matches_nested_sum(self):
+        data = bch_coefficients(10)
+        for k in range(11):
             assert data.a[k] == bch_coefficient_nested_sum(k)
 
+    def test_odd_coefficients_vanish(self):
+        data = bch_coefficients(301)
+        assert all(data.a[k] == 0 for k in range(3, 302, 2))
+        assert all(data.a[k] != 0 for k in range(0, 302, 2))
+
+    def test_matches_sympy_bernoulli(self):
+        sympy = pytest.importorskip("sympy")
+        data = bch_coefficients(MAX_BCH_K)
+        for k in range(0, MAX_BCH_K + 1, 2):
+            b = sympy.bernoulli(k)
+            assert data.a[k] == Fraction(int(b.p), int(b.q)) / factorial(k), k
+
     def test_product_telescopes_to_one(self):
-        order = 8
+        order = 300
         data = bch_coefficients(order)
         prod = [Fraction(0)] * (order + 1)
         for i, ai in enumerate(data.a):
-            for j, tj in enumerate(data.theta):
-                if i + j <= order:
+            if ai:
+                for j, tj in enumerate(data.theta[:order + 1 - i]):
                     prod[i + j] += ai * tj
         assert prod[0] == 1
         assert all(c == 0 for c in prod[1:])
