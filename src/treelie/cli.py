@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+from itertools import product
 
 from . import expressions, firstorder, heat, ideals, liealg, trees
 from .errors import SizeGuardError
@@ -44,6 +45,9 @@ MAX_FLOW_NILPOTENCE = 500
 # the dim count runs one series pass per simplex coefficient up to the
 # bound: at 10^6 with 17 coefficients it takes about 1.4 s
 MAX_SIMPLEX_BOUND = 1_000_000
+# rows per write of solve-heat --csv: the rows of one block are built as
+# one string, a few MB whatever the grid
+CSV_BLOCK = 1 << 16
 
 
 class _CliError(Exception):
@@ -229,11 +233,18 @@ def _cmd_bch(ns) -> dict:
     }
 
 
+def _finite(values, flag: str, text: str):
+    if not all(map(math.isfinite, values)):
+        raise _CliError(f"{flag} must be finite, got {text!r}")
+    return values
+
+
 def _cmd_solve_first(ns) -> dict:
     tree = _load(ns.tree)
-    x = _csv_floats(ns.x)
+    x = _finite(_csv_floats(ns.x), "--x", ns.x)
     if len(x) != tree.n:
         raise _CliError(f"expected {tree.n} coordinates, got {len(x)}")
+    _finite([ns.t], "--t", str(ns.t))
     ast = expressions.parse_expression(ns.f, tree.n)
     _, nilp = _guard_dim(tree, "up")
     if ns.verify == "numeric" and nilp > MAX_FLOW_NILPOTENCE:
@@ -243,6 +254,8 @@ def _cmd_solve_first(ns) -> dict:
     with _numpy_quiet():
         solution = firstorder.solve_first_order(tree, ast)
         doc = {"u": solution(ns.t, x)}
+        if not math.isfinite(doc["u"]):
+            raise _CliError("u is not finite at the --t, --x point")
         if ns.emit_eta:
             doc["eta"] = [str(solution.family.eta[i]) for i in range(1, tree.n + 1)]
         if ns.verify:
@@ -255,7 +268,7 @@ def _cmd_solve_heat(ns) -> dict:
     tree = _load(ns.tree)
     orders = _csv_ints(ns.orders)
     box = _csv_floats(ns.box)
-    point = _csv_floats(ns.eval_point)
+    point = _finite(_csv_floats(ns.eval_point), "--eval", ns.eval_point)
     if len(point) != tree.n + 1:
         raise _CliError(f"--eval needs t plus {tree.n} coordinates")
     if ns.modes < 0:
@@ -275,8 +288,9 @@ def _cmd_solve_heat(ns) -> dict:
             "modes_used": solution.modes_used,
             "verify_modes": bool(check.ok),
         }
-        # a non-finite u fails the strict JSON encoding in run_cli: no CSV first
-        if ns.csv_path and math.isfinite(doc["u"]):
+        if not math.isfinite(doc["u"]):
+            raise _CliError("u is not finite at the --eval point")
+        if ns.csv_path:
             _dump_csv(solution, t, ns.csv_path, ns.csv_grid)
             doc["csv"] = ns.csv_path
     return doc
@@ -284,8 +298,8 @@ def _cmd_solve_heat(ns) -> dict:
 
 def _numpy_quiet():
     """numpy with its floating-point warnings off, for the two solvers,
-    the only commands that load numpy: a non-finite result fails the
-    strict JSON encoding in run_cli, so numpy need not warn on the way."""
+    the only commands that load numpy: both report a non-finite u as an
+    error, so numpy need not warn on the way."""
     import numpy as np
 
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -293,27 +307,40 @@ def _numpy_quiet():
 
 def _dump_csv(solution: heat.HeatSolution, t: float, path: str, grid: int) -> None:
     """grid^n rows on the closed box, last coordinate fastest; no file is
-    opened unless every value is finite."""
-    import csv
+    opened unless every value is finite.
 
+    The bytes are those of ``csv.writer``: every cell is a float repr,
+    which needs no quoting, and every row ends in CR LF. The cells before
+    the last coordinate are shared by runs of grid rows, so they are
+    joined once per run from per-axis repr tables, and rows are written
+    CSV_BLOCK at a time.
+    """
     import numpy as np
 
     n = solution.tree.n
     axes = [np.linspace(-a, a, grid) for a in solution.box]
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    values = solution(t, points)
+    points = np.empty((grid,) * n + (n,))
+    for i, axis in enumerate(axes):
+        points[..., i] = axis.reshape((grid,) + (1,) * (n - 1 - i))
+    values = solution(t, points.reshape(-1, n))
+    del points
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise _CliError(f"u is not finite at {bad} of {len(values)} CSV grid points")
     cell = repr(float(t))
+    cells = [[repr(v) for v in axis.tolist()] for axis in axes]
+    heads = [",".join((cell,) + xs) + "," for xs in product(*cells[:-1])]
+    tails = [x + "," for x in cells[-1]]
+    step = max(1, CSV_BLOCK // grid)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i}" for i in range(1, n + 1)] + ["u"])
-            writer.writerows(
-                [cell] + [repr(float(v)) for v in x] + [repr(float(u))]
-                for x, u in zip(points, values)
-            )
+            fh.write(",".join(["t"] + [f"x{i}" for i in range(1, n + 1)] + ["u"]) + "\r\n")
+            for lo in range(0, len(heads), step):
+                us = values[lo * grid:(lo + step) * grid].tolist()
+                fh.write("".join(
+                    f"{head}{tail}{u!r}\r\n"
+                    for (head, tail), u in zip(product(heads[lo:lo + step], tails), us)
+                ))
     except OSError as exc:
         raise _CliError(f"cannot write CSV {path}: {exc.strerror or exc}")
 

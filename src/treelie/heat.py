@@ -12,14 +12,24 @@ All exact work stays over the rationals in the z symbols: sqrt(-1)
 enters only through the z-degree of a term when A and B are split.
 
 Numerically every mode is handled at once: ``solve_heat`` builds one
-complex table of t-polynomial coefficients (node x mode x power of t),
-and ``HeatSolution`` evaluates it at t by one Horner pass, so a batch of
-P points costs one (modes x n) @ (n x P) product and one exp/cos/sin
-pass, done in chunks of at most EVAL_BLOCK mode-point entries.
+complex table of t-polynomial coefficients (node x mode x power of t)
+from one exponent matrix of the family's terms, and ``HeatSolution``
+evaluates it at t by one Horner pass, so a batch of P points costs one
+(modes x n) @ (n x P) product and one exp/cos/sin pass, done in chunks
+of at most EVAL_BLOCK mode-point entries. Frequency vectors and
+amplitudes stay arrays; ``FourierMode`` objects are built only when
+``HeatSolution.modes`` is read.
 
 The initial data enter through ``fourier_coefficients``, one FFT pass per
 axis that keeps only the coefficients the mode sum reads, on a grid that
-holds only the axes the data vary on until each axis's own pass.
+holds only the axes the data vary on until each axis's own pass; a pass
+along an axis the data do not vary on is a sum, formed without a
+transform. The coefficients keep the bits of the full ``np.fft.fftn``.
+
+Before any of this, ``solve_heat`` counts the terms of the family and
+the term products that build it (``xi_family_size``, without building
+it), since the symbolic powers behind the family grow combinatorially in
+the orders.
 
 numpy is imported inside the functions that compute with it, so loading
 this module does not load numpy.
@@ -29,8 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Callable, Dict, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from . import expressions
 from .errors import SizeGuardError
@@ -46,20 +56,30 @@ __all__ = [
     "xi_family",
     "mode_exponent",
     "mode_exponent_symbolic",
-    "mode_weight",
     "fourier_coefficients",
     "solve_heat",
     "verify_modes",
+    "xi_family_size",
     "MAX_MODES",
     "MAX_QUADRATURE_POINTS",
+    "MAX_XI_TERMS",
+    "MAX_XI_PRODUCTS",
 ]
 
 # mode-point entries per evaluation chunk: HeatSolution works on a few
 # float arrays of this size, whatever the number of points
 EVAL_BLOCK = 1 << 16
-# desk-scale size guards of solve_heat, checked from closed forms
+# desk-scale size guards of solve_heat, checked from closed forms. The
+# term products bound the time of the symbolic xi~ family: on a 2-vCPU
+# Xeon the slowest request found inside the guard, star(3) with orders
+# 33,1,1,1 (993 711 products), takes 2.5 s from the CLI, chain([1,1]) with
+# orders 64,2,2 (1 280 957) took 2.8 s and with 99,2,2 (6 769 796) 10.2 s;
+# the benchmark's largest family, chain([1,1,1]) with orders 3, takes
+# 2 793. The terms bound the family's size and the mode table's.
 MAX_MODES = 10_000
 MAX_QUADRATURE_POINTS = 1 << 22
+MAX_XI_TERMS = 10_000
+MAX_XI_PRODUCTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,12 +92,17 @@ class XiFamily:
     xi_tilde: Dict[int, MultiPoly]
 
 
-def xi_family(tree: TreeDiagram, orders: Sequence[int]) -> XiFamily:
+def _checked_orders(tree: TreeDiagram, orders: Sequence[int]) -> Tuple[int, ...]:
     orders = tuple(int(m) for m in orders)
     if len(orders) != tree.n:
         raise ValueError(f"expected {tree.n} orders, got {len(orders)}")
     if any(m < 1 for m in orders):
         raise ValueError("orders must be positive integers")
+    return orders
+
+
+def xi_family(tree: TreeDiagram, orders: Sequence[int]) -> XiFamily:
+    orders = _checked_orders(tree, orders)
     xi: Dict[int, MultiPoly] = {}
     for i in range(tree.n, 0, -1):
         kids = tree.children(i)
@@ -89,6 +114,81 @@ def xi_family(tree: TreeDiagram, orders: Sequence[int]) -> XiFamily:
                 inner = inner + xi[s].rename({"t": "y1"})
             xi[i] = (inner ** orders[i - 1]).integrate_from_zero("y1", "t")
     return XiFamily(tree=tree, orders=orders, xi_tilde=xi)
+
+
+def xi_family_size(tree: TreeDiagram, orders: Sequence[int]) -> Tuple[int, int]:
+    """The number of terms of xi~_1, the largest of the family, and the
+    number of term products the powers (z_i + the children's xi~)^{m_i}
+    take, counted from the tree and the orders alone. Each count past its
+    guard (MAX_XI_TERMS, MAX_XI_PRODUCTS) is returned as a number past it.
+
+    The z exponents e of every term of xi~_s satisfy c_s(e) = 1 for a
+    linear form c_s (e_s/m_s at a tip, (e_s + the children's c)/m_s
+    above), and the term's power of t is linear in e too. So a term is
+    fixed by its z exponents, and a sum of j terms of xi~_s tells j from
+    its exponents. The terms of (z_i + the children's xi~)^k are the sums
+    of k of its terms, whose coefficients are all positive, so no sum
+    cancels. With D_i(k) the number of distinct such sums, D_tip(k) = 1
+    and D_i(k) is the sum over J <= k of the coefficient of x^J in the
+    product over children c of G_c(x) = sum over j of D_c(j*m_c) x^j;
+    xi~_i has D_i(m_i) terms. ``MultiPoly.__pow__`` squares and multiplies,
+    so its products are D_i(a)*D_i(b) term pairs summed over its steps.
+    Counts saturate at MAX_XI_TERMS + 1, and D_i(k) >= k + 1 above a tip,
+    so no series runs past that length, and a series product stops once
+    its prefix sum saturates.
+    """
+    cap = MAX_XI_TERMS + 1
+    orders = _checked_orders(tree, orders)
+    powers: Dict[int, List[int]] = {}  # D_i(0..m_i) of every node above a tip
+
+    def sums(i: int, top: int) -> List[int]:
+        """D_i(k), saturated, for k = 0..top."""
+        kids = tree.children(i)
+        if not kids:
+            return [1] * (top + 1)
+        series: List[int] = []
+        for c in kids:
+            m = orders[c - 1]
+            d = sums(c, min(top * m, cap))
+            past = cap if tree.children(c) else 1  # D_c past the end of d
+            g = [d[j * m] if j * m < len(d) else past for j in range(top + 1)]
+            series = _saturated_product(series, g, cap) if series else g
+        out, total = [], 0
+        for k in range(top + 1):
+            total = min(cap, total + (series[k] if k < len(series) else cap))
+            out.append(total)
+        powers.setdefault(i, out)
+        return out
+
+    root = sums(1, min(orders[0], cap))
+    products = 0
+    for i, d in powers.items():
+        # the exponents of __pow__'s two factors; d ends saturated
+        k, out, base = orders[i - 1], 0, 1
+        while k:
+            if k & 1:
+                products += d[min(out, len(d) - 1)] * d[min(base, len(d) - 1)]
+                out += base
+            k >>= 1
+            if k:
+                products += d[min(base, len(d) - 1)] ** 2
+                base *= 2
+    return root[-1], products
+
+
+def _saturated_product(a: List[int], b: List[int], cap: int) -> List[int]:
+    """The coefficients of a*b, two series with constant term 1 and
+    nonnegative coefficients, up to the first degree at which they add up
+    to cap: the product is at least each factor, so every later prefix sum
+    of it, or of a product with a further such factor, is past cap."""
+    out, total = [], 0
+    for degree in range(min(len(a), len(b))):
+        c = min(cap, sum(a[i] * b[degree - i] for i in range(degree + 1)))
+        out.append(c)
+        total += c
+        if total >= cap:
+            break
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,22 +206,56 @@ def _mode_table(xi: XiFamily, waves: np.ndarray) -> np.ndarray:
     coefficient of t^p in xi~_i with z_r -> sqrt(-1)*waves[m, r - 1], so
     node i's slice is its (modes x (deg + 1)) table, zero-padded up to the
     highest t-degree of the family (every xi~ term carries a power of t).
+
+    The terms of all nodes form one exponent matrix (columns t, z_1..z_n),
+    taken in blocks of at most EVAL_BLOCK term-mode entries. A block starts
+    from its float coefficients num/den, is multiplied by z_r**e on the
+    terms with e > 0 one z variable after another, and is added onto its
+    t powers by ``np.add.at``, which adds in term order. Each entry so
+    takes the operations of a loop over the terms in the same order, and
+    keeps its bits, overflow to inf and NaN included.
     """
     import numpy as np
 
+    n = xi.tree.n
     z = 1j * waves
-    polys = [xi.xi_tilde[i] for i in range(1, xi.tree.n + 1)]
-    deg = max(exps[p.variables.index("t")] for p in polys for exps in p.terms)
-    table = np.zeros((len(polys), len(z), deg + 1), dtype=complex)
-    for node, poly in enumerate(polys):
-        for exps, c in poly.terms.items():
-            column = np.full(len(z), complex(c))
-            for v, e in zip(poly.variables, exps):
-                if v == "t":
-                    tpow = e
-                elif e:
-                    column *= z[:, int(v[1:]) - 1] ** e
-            table[node, :, tpow] += column
+    nodes, exps, coeffs = [], [], []
+    for i in range(1, n + 1):
+        poly = xi.xi_tilde[i]
+        columns = [0 if v == "t" else int(v[1:]) for v in poly.variables]
+        block = np.zeros((len(poly.num), n + 1), dtype=np.int64)
+        block[:, columns] = list(poly.num)
+        exps.append(block)
+        nodes.append(np.full(len(block), i - 1))
+        coeffs.extend(c / poly.den for c in poly.num.values())
+    exps, nodes, coeffs = np.concatenate(exps), np.concatenate(nodes), np.array(coeffs)
+    # z_r**e once per distinct exponent e > 0 of each z variable, computed
+    # as the loop over terms computes it; powers[r - 1][rows[r - 1]] then
+    # holds z_r**e of every term (a row of ones where e = 0, never read)
+    powers, rows = [], []
+    for r in range(1, n + 1):
+        distinct = sorted(set(exps[:, r].tolist()) | {0})
+        powers.append(np.stack([np.ones(len(z), dtype=complex)]
+                               + [z[:, r - 1] ** e for e in distinct[1:]]))
+        rows.append(np.searchsorted(distinct, exps[:, r]))
+    width = int(exps[:, 0].max()) + 1
+    table = np.zeros((n, len(z), width), dtype=complex)
+    # entry [node, m, t power] of the table is flat[start + m * width],
+    # start = (node * modes) * width + t power
+    starts = nodes * (len(z) * width) + exps[:, 0]
+    offsets = np.arange(len(z)) * width
+    step = max(1, EVAL_BLOCK // max(1, len(z)))
+    for lo in range(0, len(exps), step):
+        e = exps[lo:lo + step]
+        column = np.empty((len(e), len(z)), dtype=complex)
+        column[:] = coeffs[lo:lo + step, None]
+        for r in range(1, n + 1):
+            used = e[:, r, None] > 0
+            if used.any():
+                factor = powers[r - 1].take(rows[r - 1][lo:lo + step], axis=0)
+                np.multiply(column, factor, out=column, where=used)
+        slots = starts[lo:lo + step, None] + offsets
+        np.add.at(table.reshape(-1), slots.reshape(-1), column.reshape(-1))
     return table
 
 
@@ -226,12 +360,6 @@ def verify_modes(xi: XiFamily) -> ModeCheck:
     return ModeCheck(ok=residual.is_zero, residual=residual)
 
 
-def mode_weight(k: Sequence[int]) -> float:
-    """Half-weighting per zero frequency component, which removes the
-    overcounting of the nonnegative-frequency mode sum."""
-    return 2.0 ** (-sum(1 for v in k if v == 0))
-
-
 GridFunction = Union[str, expressions.ExprNode, Callable, "np.ndarray"]
 
 
@@ -266,35 +394,79 @@ def _grid_values(f: GridFunction, box: Sequence[float], samples: int) -> np.ndar
     return values.reshape((1,) * (n - values.ndim) + values.shape)
 
 
+def _pruned_fft(values: np.ndarray, samples: int, cutoff: int) -> np.ndarray:
+    """``np.fft.fftn`` of values broadcast to (samples,)*n, at the indices
+    0, 2, ..., 2*cutoff of every axis, with fftn's bits, sign bits included
+    (a NaN is NaN on both sides; its sign and payload follow how the FFT
+    batches lines, as they did when every pass was transformed).
+
+    The transform runs axis by axis, last axis first as fftn does, and
+    keeps just the read indices after each pass, so each later pass has at
+    most (cutoff + 1)/samples of the full transform's lines. The grid stays
+    sparse as well: an axis of size 1 is broadcast to samples only for its
+    own pass, so data on few axes never fill the samples^n grid. A 1-D pass
+    transforms every line on its own, and identical input lines give
+    identical output lines; a size-1 axis stands for lines that are
+    identical along it, and it keeps size 1 through every earlier pass. So
+    each line that reaches a pass holds the bits it holds on the full grid.
+
+    A pass along a size-1 axis needs no transform while samples times every
+    real and imaginary part stays finite: on a constant line the FFT adds
+    the value samples times, a power of two, which is exact, and every
+    other entry is +0, built from differences of equal values. The FFT of
+    a line of +0 is +0 again, so such an axis keeps size 1, now holding
+    index 0, through the later passes, and is padded with +0 at the end:
+    data constant along the last axes do not fill the grid of the leading
+    ones either. The tests hold all of this to fftn bit for bit; past the
+    finite range the constant lines are transformed.
+    """
+    import numpy as np
+
+    top = np.finfo(float).max / samples
+    read = slice(0, 2 * cutoff + 1, 2)
+    spectrum = values
+    kept = []  # per axis, the indices the spectrum holds: all read ones, or 0
+    for axis in range(values.ndim - 1, -1, -1):  # fftn's order: last axis first
+        if spectrum.shape[axis] == 1 and np.all(abs(spectrum.real) <= top) and np.all(
+            abs(spectrum.imag) <= top
+        ):
+            summed = np.zeros(spectrum.shape, dtype=complex)
+            summed.real = spectrum.real * samples
+            summed.imag = spectrum.imag * samples
+            spectrum = summed
+            kept.append(slice(0, 1))
+        else:
+            full = spectrum.shape[:axis] + (samples,) + spectrum.shape[axis + 1:]
+            spectrum = np.fft.fft(np.broadcast_to(spectrum, full), axis=axis)
+            spectrum = spectrum[(slice(None),) * axis + (read,)]
+            kept.append(slice(None))
+    out = np.zeros((cutoff + 1,) * values.ndim, dtype=complex)
+    out[tuple(reversed(kept))] = spectrum
+    return out
+
+
 def fourier_coefficients(
     f: GridFunction, box: Sequence[float], cutoff: int, samples: int
-) -> Dict[Tuple[int, ...], Tuple[float, float]]:
-    """Weighted cosine and sine coefficients of f for all frequency vectors
-    with entries up to the cutoff.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Weighted cosine and sine coefficients b and c of f for all frequency
+    vectors with entries up to the cutoff: two arrays of shape
+    (cutoff + 1,)*n, so b[k] and c[k] belong to the frequency vector k.
 
     The box quadrature is the periodic tensor trapezoid rule on a uniform
     grid, evaluated through the FFT (on this grid the two coincide), which
-    is exact to rounding for band-limited trigonometric data. Each pair is
-    then scaled by the zero-component half-weighting.
+    is exact to rounding for band-limited trigonometric data. Only the
+    entries at even indices up to 2*cutoff are read, and ``_pruned_fft``
+    gives just those, with the bits of the full ``np.fft.fftn``. Each pair
+    is then scaled by the zero-component half-weighting,
+    2^-(number of zero entries of k), which removes the overcounting of
+    the nonnegative-frequency mode sum: one broadcast product of per-axis
+    [0.5, 1, ..., 1] vectors, exact in floats.
 
-    Only the entries at even indices up to 2*cutoff are read, so the
-    transform runs axis by axis, last axis first as ``np.fft.fftn`` does,
-    and keeps just those indices after each pass, so each later pass has
-    at most (cutoff + 1)/samples of the full transform's lines. The grid
-    stays sparse as well: an axis f does not vary on keeps size 1 until
-    its own pass broadcasts it to samples, so data on few axes never fill
-    the samples^n grid. A 1-D pass transforms every line on its own, and
-    identical input lines give identical output lines; a size-1 axis
-    stands for lines that are identical along it, and it keeps size 1
-    through every earlier pass. So each line that reaches a pass holds
-    the bits it holds on the full grid, and the entries kept are fftn's,
-    bit for bit, sign bits included.
-
-    That matters: coefficients that are zero in exact arithmetic come out
-    at rounding level, and the mode sum multiplies them by exp(A), which
-    reaches 1e29 on a 4-node star at t = 0.04, so there u depends on the
-    FFT's rounding: the real-input FFT, which holds every index read here,
-    moves such a u by about 1 %. Another transform must give these
+    The bits matter: coefficients that are zero in exact arithmetic come
+    out at rounding level, and the mode sum multiplies them by exp(A),
+    which reaches 1e29 on a 4-node star at t = 0.04, so there u depends on
+    the FFT's rounding: the real-input FFT, which holds every index read
+    here, moves such a u by about 1 %. Another transform must give these
     coefficients bit for bit, not only to rounding.
     """
     import numpy as np
@@ -302,20 +474,14 @@ def fourier_coefficients(
     n = len(box)
     if samples < 4 * max(cutoff, 1) or samples & (samples - 1):
         raise ValueError("samples must be a power of two with samples >= 4*cutoff")
-    spectrum = _grid_values(f, box, samples)
-    read = slice(0, 2 * cutoff + 1, 2)
-    for axis in range(n - 1, -1, -1):  # fftn's order: last axis first
-        # an axis f does not vary on is broadcast only for its own pass
-        full = spectrum.shape[:axis] + (samples,) + spectrum.shape[axis + 1:]
-        spectrum = np.fft.fft(np.broadcast_to(spectrum, full), axis=axis)
-        spectrum = spectrum[(slice(None),) * axis + (read,)]
-    scale = 2.0 ** n / samples ** n
-    out: Dict[Tuple[int, ...], Tuple[float, float]] = {}
-    for k in iproduct(range(cutoff + 1), repeat=n):
-        z = spectrum[k] * scale
-        w = mode_weight(k)
-        out[k] = (w * z.real, -w * z.imag)
-    return out
+    spectrum = _pruned_fft(_grid_values(f, box, samples), samples, cutoff)
+    spectrum = spectrum * (2.0 ** n / samples ** n)
+    half = np.ones(cutoff + 1)
+    half[0] = 0.5
+    weight = np.ones((1,) * n)
+    for axis_weight in np.ix_(*[half] * n):
+        weight = weight * axis_weight
+    return weight * spectrum.real, -weight * spectrum.imag
 
 
 @dataclass(frozen=True)
@@ -334,20 +500,27 @@ class HeatSolution:
     exp(A(t, x)) * (b*cos(theta(t, x)) + c*sin(theta(t, x))), where A and
     theta = 2*pi*k.x/box + B are affine in x.
 
-    family is the xi~ family the solution is built from; table is the
+    family is the xi~ family the solution is built from; ks (modes, n)
+    holds the frequency vectors in lexicographic order; table is the
     (n, modes, deg + 1) complex t-polynomial table of ``_mode_table``;
     waves (modes, n) holds 2*pi*k/box and amplitudes (2, modes) the b and
-    c rows, in the order of ``modes``.
+    c rows, all in the order of ks.
     """
 
     tree: TreeDiagram
     orders: Tuple[int, ...]
     family: XiFamily
     box: Tuple[float, ...]
-    modes: Tuple[FourierMode, ...]
+    ks: np.ndarray
     table: np.ndarray
     waves: np.ndarray
     amplitudes: np.ndarray
+
+    @cached_property
+    def modes(self) -> Tuple[FourierMode, ...]:
+        """The modes as ``FourierMode`` values, built on the first read."""
+        b, c = self.amplitudes.tolist()
+        return tuple(FourierMode(tuple(k), bk, ck) for k, bk, ck in zip(self.ks.tolist(), b, c))
 
     def __call__(self, t: float, x) -> Union[float, np.ndarray]:
         """u at one point x of shape (n,), returned as a float, or at a
@@ -369,7 +542,7 @@ class HeatSolution:
         growth = slopes.real
         phase = self.waves + slopes.imag
         b, c = self.amplitudes
-        chunk = max(1, EVAL_BLOCK // max(1, len(self.modes)))
+        chunk = max(1, EVAL_BLOCK // max(1, len(self.ks)))
         out = np.empty(len(batch))
         for lo in range(0, len(batch), chunk):
             block = batch[lo:lo + chunk].T
@@ -380,7 +553,7 @@ class HeatSolution:
 
     @property
     def modes_used(self) -> int:
-        return len(self.modes)
+        return len(self.ks)
 
 
 def solve_heat(
@@ -395,8 +568,10 @@ def solve_heat(
 
     At t = 0 the sum reproduces the weighted trigonometric interpolant of
     f through the cutoff; each mode then evolves by its exact exponent.
-    Raises SizeGuardError when (cutoff+1)^n modes or samples^n quadrature
-    points exceed MAX_MODES or MAX_QUADRATURE_POINTS.
+    Raises SizeGuardError when (cutoff+1)^n modes, samples^n quadrature
+    points, or the terms of xi~_1 or the term products that build the
+    family exceed MAX_MODES, MAX_QUADRATURE_POINTS, MAX_XI_TERMS or
+    MAX_XI_PRODUCTS.
     """
     import numpy as np
 
@@ -413,20 +588,25 @@ def solve_heat(
             f"{samples ** tree.n} quadrature points (samples^n) exceeds the guard"
             f" of {MAX_QUADRATURE_POINTS}"
         )
+    terms, products = xi_family_size(tree, orders)
+    if terms > MAX_XI_TERMS:
+        raise SizeGuardError(f"xi~_1 terms exceed the guard of {MAX_XI_TERMS}")
+    if products > MAX_XI_PRODUCTS:
+        raise SizeGuardError(
+            f"{products} xi~ term products exceed the guard of {MAX_XI_PRODUCTS}"
+        )
     xi = xi_family(tree, orders)
-    coeffs = fourier_coefficients(f, box, cutoff, samples)
-    ks = sorted(coeffs)
-    modes = tuple(
-        FourierMode(k=k, b=coeffs[k][0], c=coeffs[k][1]) for k in ks
-    )
+    b, c = fourier_coefficients(f, box, cutoff, samples)
+    # C order of the (cutoff + 1)^n coefficient arrays is lexicographic in k
+    ks = np.indices(b.shape).reshape(tree.n, -1).T.copy()
     waves = _waves(ks, box)
     return HeatSolution(
         tree=tree,
         orders=xi.orders,
         family=xi,
         box=box,
-        modes=modes,
+        ks=ks,
         table=_mode_table(xi, waves),
         waves=waves,
-        amplitudes=np.array([[m.b for m in modes], [m.c for m in modes]]),
+        amplitudes=np.stack([b.reshape(-1), c.reshape(-1)]),
     )

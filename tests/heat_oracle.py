@@ -8,23 +8,77 @@ of each mode are formed at one point before the weighted cosine and sine
 values are added up in mode order.
 
 ``fourier_coefficients_fftn`` is the quadrature through the full
-complex FFT of the whole samples^n grid with the whole spectrum scaled,
-the route ``heat.fourier_coefficients`` took before it transformed axis
-by axis, broadcast an axis the data do not vary on only for its own
-pass, and kept, after each axis, only the indices it reads; the two must
-agree bit for bit.
+complex FFT of the whole samples^n grid with the whole spectrum scaled
+and each frequency vector weighted on its own by ``mode_weight``, the
+route ``heat.fourier_coefficients`` took before it transformed axis by
+axis, broadcast an axis the data do not vary on only for its own pass,
+kept, after each axis, only the indices it reads, and weighted all
+coefficients by one broadcast product; the two must agree bit for bit.
+
+``mode_table_per_term`` builds ``heat._mode_table``'s coefficient table
+by a loop over the terms of each xi~ polynomial, one mode column per
+term, and ``csv_writer_text`` writes the ``solve-heat --csv`` grid
+through ``csv.writer``, one row per point; the library's array routes
+must give the same bits and the same bytes.
 
 ``split_exponent_sympy`` is the independent route to the symbolic growth
 and phase split: sympy expands the exponent with z_r = I*k_r and takes
 its real and imaginary parts.
 """
 
+import csv
+import io
 from itertools import product
 from typing import Dict, Sequence
 
 import numpy as np
 
-from treelie.heat import HeatSolution, XiFamily, _grid_values, mode_weight, xi_family
+from treelie.heat import HeatSolution, XiFamily, _grid_values, xi_family
+
+
+def mode_weight(k: Sequence[int]) -> float:
+    """Half-weighting per zero frequency component, which removes the
+    overcounting of the nonnegative-frequency mode sum."""
+    return 2.0 ** (-sum(1 for v in k if v == 0))
+
+
+def mode_table_per_term(xi: XiFamily, waves: np.ndarray) -> np.ndarray:
+    """The (n, modes, deg + 1) table of ``heat._mode_table``, one term at a
+    time: each term's mode column starts from its Fraction coefficient, is
+    multiplied by z_r**e for each of its z variables in order, and is added
+    onto the column of its t power."""
+    z = 1j * waves
+    polys = [xi.xi_tilde[i] for i in range(1, xi.tree.n + 1)]
+    deg = max(exps[p.variables.index("t")] for p in polys for exps in p.terms)
+    table = np.zeros((len(polys), len(z), deg + 1), dtype=complex)
+    for node, poly in enumerate(polys):
+        for exps, c in poly.terms.items():
+            column = np.full(len(z), complex(c))
+            for v, e in zip(poly.variables, exps):
+                if v == "t":
+                    tpow = e
+                elif e:
+                    column *= z[:, int(v[1:]) - 1] ** e
+            table[node, :, tpow] += column
+    return table
+
+
+def csv_writer_text(solution: HeatSolution, t: float, grid: int) -> str:
+    """The grid^n rows of ``solve-heat --csv`` through ``csv.writer``, from
+    a meshgrid of the closed box, last coordinate fastest."""
+    n = solution.tree.n
+    axes = [np.linspace(-a, a, grid) for a in solution.box]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    values = solution(t, points)
+    cell = repr(float(t))
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["t"] + [f"x{i}" for i in range(1, n + 1)] + ["u"])
+    writer.writerows(
+        [cell] + [repr(float(v)) for v in x] + [repr(float(u))]
+        for x, u in zip(points, values)
+    )
+    return out.getvalue()
 
 
 def complex_exponent_parts(xi: XiFamily, kappa: Sequence[float]) -> Dict[int, np.ndarray]:
@@ -90,16 +144,18 @@ def mode_sum(solution: HeatSolution, t: float, points) -> np.ndarray:
 
 
 def fourier_coefficients_fftn(f, box, cutoff: int, samples: int):
-    """Weighted cosine and sine coefficients from np.fft.fftn of the grid."""
+    """Weighted cosine and sine coefficient arrays b and c, indexed by the
+    frequency vector, from np.fft.fftn of the grid."""
     n = len(box)
     grid = np.broadcast_to(_grid_values(f, box, samples), (samples,) * n)
     spectrum = np.fft.fftn(grid) * (2.0 ** n / samples ** n)
-    out = {}
+    b = np.empty((cutoff + 1,) * n)
+    c = np.empty((cutoff + 1,) * n)
     for k in product(range(cutoff + 1), repeat=n):
         z = spectrum[tuple(2 * kv for kv in k)]
         w = mode_weight(k)
-        out[k] = (w * z.real, -w * z.imag)
-    return out
+        b[k], c[k] = w * z.real, -w * z.imag
+    return b, c
 
 
 def poly_to_sympy(poly):

@@ -12,9 +12,10 @@ import pytest
 
 import treelie
 from treelie import (
-    build_tree, chain, firstorder, heat, ideals, liealg, star, tree_to_dict, trees,
+    build_tree, chain, cli, firstorder, heat, ideals, liealg, star, tree_to_dict, trees,
 )
 from treelie.cli import (
+    CSV_BLOCK,
     MAX_BCH_K,
     MAX_CSV_ROWS,
     MAX_DIM,
@@ -23,7 +24,9 @@ from treelie.cli import (
     _guard_dim,
     main,
 )
-from treelie.heat import MAX_MODES, MAX_QUADRATURE_POINTS
+from treelie.heat import MAX_MODES, MAX_QUADRATURE_POINTS, MAX_XI_PRODUCTS, MAX_XI_TERMS
+
+from .heat_oracle import csv_writer_text
 
 
 @pytest.fixture()
@@ -452,6 +455,19 @@ class TestSolveHeat:
         assert sorted({v[1] for v in values}) == [-1.0, 0.0, 1.0]
         assert sorted({v[2] for v in values}) == [-2.0, 0.0, 2.0]
 
+    @pytest.mark.parametrize("block", [1, 7, CSV_BLOCK])
+    @pytest.mark.parametrize("grid", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_csv_bytes_equal_csv_writer(self, tmp_path, monkeypatch, n, grid, block):
+        # blocks of one row, of runs that do not divide the grid, and the default
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        box = tuple(1.0 + 0.5 * (i % 3) for i in range(n))
+        f = f"cos(pi*x1/{box[0]}) - 0.5*sin(2*pi*x{n}/{box[-1]}) + 0.25"
+        sol = heat.solve_heat(chain([1] * (n - 1)), [2] * n, f, box, 2, 16)
+        target = tmp_path / "g.csv"
+        cli._dump_csv(sol, 0.03, str(target), grid)
+        assert target.read_bytes() == csv_writer_text(sol, 0.03, grid).encode("utf-8")
+
 
 def _assert_one_line_error(code, out, err):
     assert code == 1
@@ -467,7 +483,7 @@ class TestNonFiniteAndOverflow:
             capsys,
         )
         _assert_one_line_error(code, out, err)
-        assert "not JSON compliant" in err
+        assert err == "error: u is not finite at the --t, --x point\n"
 
     def test_nan_time_is_an_error(self, tree_file, capsys):
         path = tree_file("a2.json", chain([1]))
@@ -489,7 +505,7 @@ class TestNonFiniteAndOverflow:
     @pytest.mark.parametrize(
         "f, message",
         [("1/0", "ZeroDivisionError"), ("0^-1", "ZeroDivisionError"),
-         ("(0-1)^0.5", "not JSON compliant")],
+         ("(0-1)^0.5", "error: u is not finite at the")],
     )
     def test_constant_arithmetic_is_an_error(self, tree_file, capsys, command, f, message):
         # constants are Python floats: division by zero raises, and a
@@ -503,6 +519,26 @@ class TestNonFiniteAndOverflow:
         code, out, err = run(argv, capsys)
         _assert_one_line_error(code, out, err)
         assert message in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_inputs_are_rejected_up_front(self, tree_file, capsys, monkeypatch,
+                                                      value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver work started before the input check")
+
+        monkeypatch.setattr(heat, "solve_heat", refuse)
+        monkeypatch.setattr(firstorder, "solve_first_order", refuse)
+        path = tree_file("a2.json", chain([1]))
+        heat_argv = _heat_argv(path)[:-2]  # without --eval
+        for flag, argv in (
+            ("--eval", heat_argv + [f"--eval=0.05,{value},0.2"]),
+            ("--eval", heat_argv + [f"--eval={value},0.1,0.2"]),
+            ("--t", ["solve-first", path, "--f", "x1", f"--t={value}", "--x", "1,1"]),
+            ("--x", ["solve-first", path, "--f", "x1", "--t", "0.1", f"--x={value},1"]),
+        ):
+            code, out, err = run(argv, capsys)
+            _assert_one_line_error(code, out, err)
+            assert err.startswith(f"error: {flag} must be finite"), err
 
     def test_deep_nesting_is_an_error(self, tree_file, capsys):
         path = tree_file("a2.json", chain([1]))
@@ -611,7 +647,7 @@ class TestSolveHeatNonFiniteCsv:
         target = tmp_path / "g.csv"
         code, out, err = run(self._argv(path, str(target), 0.05), capsys)
         _assert_one_line_error(code, out, err)
-        assert "not JSON compliant" in err
+        assert err == "error: u is not finite at the --eval point\n"
         assert not target.exists()
 
 
@@ -653,6 +689,17 @@ class TestSolveHeatGuards:
                           modes="10", samples="64")
         self._guarded(argv, capsys, "modes ((modes+1)^n)", MAX_MODES)
         assert 11 ** 4 > MAX_MODES >= 625
+
+    @pytest.mark.parametrize("tree, orders, quantity, limit", [
+        (chain([1, 1]), "200,2,2", "xi~_1 terms", MAX_XI_TERMS),
+        (chain([1] * 5), "3,3,3,3,3,3", "xi~_1 terms", MAX_XI_TERMS),
+        (chain([1]), "3000,1", "3637021 xi~ term products", MAX_XI_PRODUCTS),
+    ])
+    def test_xi_family(self, tree_file, capsys, tree, orders, quantity, limit):
+        path = tree_file("t.json", tree)
+        argv = _heat_argv(path, orders=orders, box=",".join(["1"] * tree.n),
+                          eval=",".join(["0.05"] + ["0"] * tree.n), modes="1", samples="4")
+        self._guarded(argv, capsys, quantity, limit)
 
 
 # ------------------------------------------------- fresh interpreters
@@ -737,7 +784,7 @@ class TestFreshProcess:
         path = tree_file("a2.json", chain([1]))
         proc = _fresh("-m", "treelie.cli", argv[0], path, *argv[1:])
         _assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
-        assert "not JSON compliant" in proc.stderr
+        assert proc.stderr.startswith("error: u is not finite at the --")
 
 
 

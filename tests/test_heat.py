@@ -13,10 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treelie import (
+    SizeGuardError,
     chain,
     e_tree,
     expressions,
     fourier_coefficients,
+    heat,
     mode_exponent,
     mode_exponent_symbolic,
     solve_heat,
@@ -24,7 +26,17 @@ from treelie import (
     verify_modes,
     xi_family,
 )
-from treelie.heat import _exponent_parts, _grid_values, _mode_table, _waves, mode_weight
+from treelie.heat import (
+    MAX_XI_PRODUCTS,
+    MAX_XI_TERMS,
+    FourierMode,
+    _exponent_parts,
+    _grid_values,
+    _mode_table,
+    _pruned_fft,
+    _waves,
+    xi_family_size,
+)
 from treelie.polynomials import MultiPoly
 
 from . import poly_oracle
@@ -33,6 +45,8 @@ from .heat_oracle import (
     fourier_coefficients_fftn,
     mode_exponents,
     mode_sum,
+    mode_table_per_term,
+    mode_weight,
     poly_to_sympy,
     split_exponent_sympy,
 )
@@ -143,6 +157,85 @@ class TestModeExponent:
             mode_exponent(xi, (1,), (1.0, 1.0), 0.1)
 
 
+class TestXiFamilySize:
+    def test_terms(self):
+        assert xi_family_size(chain([]), [7]) == (1, 0)
+        assert xi_family_size(chain([1]), [5, 1])[0] == 6
+        assert xi_family_size(chain([1, 1, 1]), [3] * 4) == (238, 2793)
+        assert xi_family_size(chain([1, 1]), [100, 1, 1])[0] == 5151
+        assert xi_family_size(chain([1, 1]), [99, 2, 2])[0] == 10_000
+        assert xi_family_size(e_tree(3, 1, 1), [3] * 5)[0] == 2101
+        assert xi_family_size(chain([1, 1, 1, 1]), [3] * 5)[0] == 5827
+
+    def test_saturates_past_the_guards(self):
+        assert xi_family_size(chain([1, 1]), [100, 2, 2])[0] == MAX_XI_TERMS + 1  # 10 201 terms
+        assert xi_family_size(chain([1] * 5), [3] * 6)[0] == MAX_XI_TERMS + 1  # 342 382 terms
+        # no series runs past the guard, whatever the orders
+        terms, products = xi_family_size(chain([1, 1]), [10 ** 18] * 3)
+        assert terms == MAX_XI_TERMS + 1 and products > MAX_XI_PRODUCTS
+        assert xi_family_size(chain([]), [10 ** 18]) == (1, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=small_trees(), data=st.data())
+    def test_counts_the_terms_and_products_of_the_family(self, tree, data):
+        # every term product the powers take, counted through MultiPoly
+        orders = data.draw(st.lists(st.integers(1, 3), min_size=tree.n, max_size=tree.n))
+        pairs = []
+        mul = MultiPoly.__mul__
+
+        def counted(a, b):
+            if isinstance(b, MultiPoly):
+                pairs.append(len(a.num) * len(b.num))
+            return mul(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MultiPoly, "__mul__", counted)
+            xi = xi_family(tree, orders)
+        terms, products = xi_family_size(tree, orders)
+        assert terms == len(xi.xi_tilde[1].num)
+        assert products == sum(pairs)
+
+    def test_validates_the_orders(self):
+        with pytest.raises(ValueError):
+            xi_family_size(chain([1]), [2])
+        with pytest.raises(ValueError):
+            xi_family_size(chain([1]), [2, 0])
+
+
+class TestModeTable:
+    """The array table against the per-term loop, bit for bit: tobytes
+    sees the sign of zeros and the bits of inf and NaN."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=small_trees(), data=st.data())
+    def test_equals_per_term_oracle(self, tree, data):
+        n = tree.n
+        orders = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="orders")
+        cutoff = data.draw(st.integers(0, 3 if n <= 4 else 2), label="cutoff")
+        box = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=n,
+                                 max_size=n), label="box")
+        sign = data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+        xi = xi_family(tree, orders)
+        waves = sign * _waves(list(product(range(cutoff + 1), repeat=n)), box)
+        with np.errstate(all="ignore"):
+            got, want = _mode_table(xi, waves), mode_table_per_term(xi, waves)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
+    @pytest.mark.parametrize("tree, orders", [(chain([1, 1, 1]), [4] * 4), (star(2), [1, 200, 1])])
+    def test_overflow_case_equals_per_term_oracle(self, monkeypatch, block, tree, orders):
+        # modes 4 on half-widths 0.5: z^e overflows, and inf * 0 and
+        # inf - inf leave NaN in the table; on the star, z2^200 overflows
+        # in a term with no z3, which must not be multiplied by z3^0
+        monkeypatch.setattr(heat, "EVAL_BLOCK", block)
+        xi = xi_family(tree, orders)
+        waves = _waves(list(product(range(5), repeat=tree.n)), (0.5,) * tree.n)
+        with np.errstate(all="ignore"):
+            got, want = _mode_table(xi, waves), mode_table_per_term(xi, waves)
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert got.tobytes() == want.tobytes()
+
+
 class TestVerifyModes:
     def test_single_node(self):
         for m in (1, 2, 3):
@@ -239,34 +332,38 @@ class TestFiniteDifferenceResidual:
 
 
 class TestFourierCoefficients:
+    @staticmethod
+    def _rest(b, c, k):
+        """The largest |b| + |c| away from the frequency vector k."""
+        size = np.abs(b) + np.abs(c)
+        size[k] = 0.0
+        return size.max()
+
     def test_constant(self):
-        co = fourier_coefficients("1", (1.0, 1.0), 2, 16)
-        assert co[(0, 0)][0] == pytest.approx(1.0)
-        rest = max(
-            abs(b) + abs(c) for k, (b, c) in co.items() if k != (0, 0)
-        )
-        assert rest <= 1e-12
+        b, c = fourier_coefficients("1", (1.0, 1.0), 2, 16)
+        assert b.shape == c.shape == (3, 3)
+        assert b[0, 0] == pytest.approx(1.0)
+        assert self._rest(b, c, (0, 0)) <= 1e-12
 
     def test_single_cosine(self):
-        co = fourier_coefficients("cos(2*pi*x1/1.5)", (1.5, 1.0, 1.0), 2, 16)
-        assert co[(1, 0, 0)][0] == pytest.approx(1.0)
-        rest = max(
-            abs(b) + abs(c) for k, (b, c) in co.items() if k != (1, 0, 0)
-        )
-        assert rest <= 1e-12
+        b, c = fourier_coefficients("cos(2*pi*x1/1.5)", (1.5, 1.0, 1.0), 2, 16)
+        assert b[1, 0, 0] == pytest.approx(1.0)
+        assert self._rest(b, c, (1, 0, 0)) <= 1e-12
 
     def test_product_projects_onto_the_sum_frequency(self):
         # sin(A)cos(B) = sin(A+B)/2 + sin(A-B)/2, and only the first summand
         # lies in the nonnegative-frequency family; the raw quadrature picks
         # up coefficient 1 at (1, 1), here unchanged by the weighting
-        co = fourier_coefficients(
-            "sin(2*pi*x1)*cos(2*pi*x2)", (1.0, 1.0), 2, 16
-        )
-        assert co[(1, 1)][1] == pytest.approx(1.0)
-        rest = max(abs(b) + abs(c) for k, (b, c) in co.items() if k != (1, 1))
-        assert rest <= 1e-12
+        b, c = fourier_coefficients("sin(2*pi*x1)*cos(2*pi*x2)", (1.0, 1.0), 2, 16)
+        assert c[1, 1] == pytest.approx(1.0)
+        assert self._rest(b, c, (1, 1)) <= 1e-12
 
     def test_weight_values(self):
+        # the oracle's per-vector weights; the library's broadcast product
+        # must match them bit for bit in the fftn oracle tests below, and
+        # on a constant it halves the raw 2^n-fold zero coefficient n times
+        b, _ = fourier_coefficients(np.full((4,) * 3, 2.0), (1.0, 1.0, 1.0), 1, 4)
+        assert b[0, 0, 0] == 2.0
         assert mode_weight((0, 0, 0)) == 0.125
         assert mode_weight((1, 0, 2)) == 0.5
         assert mode_weight((1, 1)) == 1.0
@@ -311,8 +408,10 @@ class TestFourierCoefficients:
                     continue
                 for cutoff in (1, 3, samples // 4):
                     got = fourier_coefficients(f, box, cutoff, samples)
-                    assert got == fourier_coefficients_fftn(f, box, cutoff, samples), (
-                        name, samples, cutoff)
+                    want = fourier_coefficients_fftn(f, box, cutoff, samples)
+                    for part in (0, 1):
+                        assert got[part].tobytes() == want[part].tobytes(), (
+                            name, samples, cutoff, part)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -335,11 +434,63 @@ class TestFourierCoefficients:
                 st.integers(1, n), st.integers(1, n)), min_size=1, max_size=4), label="terms")
             f = " + ".join(f"({c})*{fn}({kv}*pi*x{i}/{box[i - 1]})*x{j}"
                            for c, fn, kv, i, j in terms)
-        got = np.array(list(fourier_coefficients(f, box, cutoff, samples).values()))
-        want = np.array(list(fourier_coefficients_fftn(f, box, cutoff, samples).values()))
-        for part in (0, 1):  # the cosine (real) and sine (imaginary) columns
-            assert np.array_equal(got[:, part], want[:, part])
-            assert np.array_equal(np.signbit(got[:, part]), np.signbit(want[:, part]))
+        got = fourier_coefficients(f, box, cutoff, samples)
+        want = fourier_coefficients_fftn(f, box, cutoff, samples)
+        for part in (0, 1):  # the cosine (real) and sine (imaginary) arrays
+            assert np.array_equal(got[part], want[part])
+            assert np.array_equal(np.signbit(got[part]), np.signbit(want[part]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_constant_axes_equal_fftn_bit_for_bit(self, data):
+        # a size-1 axis is constant: its pass is formed without a transform
+        # while samples times every value stays finite, and transformed past
+        # that; zeros of either sign, subnormals, values at and past the
+        # finite range and inf all keep fftn's bits. A NaN's sign and
+        # payload follow how the FFT batches its lines, which no pruned
+        # route matches (transforming every pass gives the same NaN bits
+        # as this one), so NaN entries need only be NaN on both sides
+        n = data.draw(st.integers(1, 4), label="n")
+        samples = data.draw(st.sampled_from([4, 8, 16, 32]), label="samples")
+        cutoff = data.draw(st.integers(0, samples // 4), label="cutoff")
+        shape = tuple(data.draw(st.lists(st.sampled_from([1, samples]), min_size=n, max_size=n),
+                                label="shape"))
+        top = np.finfo(float).max / samples
+        special = {
+            "zeros": [0.0, -0.0, 5e-324, -5e-324],
+            "range": [top, -top, np.nextafter(top, np.inf), 1e308, -1e308],
+            "non-finite": [np.inf, -np.inf, np.nan],
+        }
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        pool = special[data.draw(st.sampled_from(sorted(special)), label="pool")]
+        rare = data.draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]), label="special share")
+        picks = rng.random(shape) < rare
+        values[picks] = rng.choice(pool, int(picks.sum()))
+        even = tuple(slice(0, 2 * cutoff + 1, 2) for _ in range(n))
+        with np.errstate(all="ignore"):
+            got = np.ascontiguousarray(_pruned_fft(values, samples, cutoff)).view(float)
+            want = np.fft.fftn(np.broadcast_to(values, (samples,) * n))[even]
+            want = np.ascontiguousarray(want).view(float)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_leading_axis_data_never_fill_the_grid(self):
+        # data on x1..x3 of four axes: the constant last axis is summed,
+        # not broadcast over the 32^3 lines of the leading ones
+        f, box = self.BENCHMARK_DATA[2].replace("x4", "x3"), (2.0, 1.0, 1.0, 1.5)
+        fourier_coefficients(f, box, 4, 32)
+        tracemalloc.start()
+        try:
+            got = fourier_coefficients(f, box, 4, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = fourier_coefficients_fftn(f, box, 4, 32)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert peak < 4 << 20  # 32^3 real samples take 256 KB, the widened grid 16 MB
 
     # at the benchmark's largest grid: f on one axis, two axes, all four,
     # and a constant, whose axes are broadcast only for their own passes
@@ -354,8 +505,8 @@ class TestFourierCoefficients:
         box = (2.0, 1.0, 1.0, 1.5)
         for f in self.BENCHMARK_DATA:
             for cutoff in (2, 3, 4):
-                got = np.array(list(fourier_coefficients(f, box, cutoff, 32).values()))
-                want = np.array(list(fourier_coefficients_fftn(f, box, cutoff, 32).values()))
+                got = np.array(fourier_coefficients(f, box, cutoff, 32))
+                want = np.array(fourier_coefficients_fftn(f, box, cutoff, 32))
                 assert np.array_equal(got, want), (f, cutoff)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (f, cutoff)
 
@@ -373,8 +524,8 @@ class TestFourierCoefficients:
 
     def test_gridded_samples_accepted(self):
         grid = np.ones((16, 16))
-        co = fourier_coefficients(grid, (1.0, 1.0), 1, 16)
-        assert co[(0, 0)][0] == pytest.approx(1.0)
+        b, _ = fourier_coefficients(grid, (1.0, 1.0), 1, 16)
+        assert b[0, 0] == pytest.approx(1.0)
 
 
 class TestSolveHeat:
@@ -434,6 +585,31 @@ class TestSolveHeat:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             solve_heat(chain([1]), [2, 2], "1", (1.0,), 2, 16)
+
+    def test_modes_are_read_from_the_arrays(self):
+        f = "cos(2*pi*x1/2) - 0.5*sin(pi*x2) + x1*x2"
+        sol = solve_heat(chain([1]), [2, 2], f, (2.0, 1.0), 2, 16)
+        b, c = fourier_coefficients(f, (2.0, 1.0), 2, 16)
+        assert sol.ks.tolist() == [list(k) for k in product(range(3), repeat=2)]
+        assert sol.modes_used == len(sol.modes) == 9
+        assert sol.modes is sol.modes  # built once, on the first read
+        assert sol.modes == tuple(
+            FourierMode(k, float(b[k]), float(c[k])) for k in product(range(3), repeat=2)
+        )
+        assert np.array_equal(sol.amplitudes, [b.ravel(), c.ravel()])
+
+    def test_term_guard_before_the_family(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("xi family built before the term guard")
+
+        monkeypatch.setattr(heat, "xi_family", refuse)
+        with pytest.raises(SizeGuardError, match=f"xi~_1 terms .* {MAX_XI_TERMS}"):
+            solve_heat(star(3), [40, 1, 1, 1], "x1", (1.0,) * 4, 1, 4)  # 12 341 terms
+        with pytest.raises(SizeGuardError,
+                           match=f"1280957 xi~ term products .* {MAX_XI_PRODUCTS}"):
+            solve_heat(chain([1, 1]), [64, 2, 2], "x1", (1.0,) * 3, 1, 4)  # 4 225 terms
+        with pytest.raises(ValueError, match="expected 2 orders"):
+            solve_heat(chain([1]), [2], "x1", (1.0,) * 2, 1, 4)
 
     @pytest.mark.parametrize("bound", [math.inf, math.nan])
     def test_non_finite_box_is_rejected(self, bound):
