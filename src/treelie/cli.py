@@ -30,8 +30,8 @@ __all__ = ["main", "run_cli"]
 # total term count of eta. On a 2-vCPU Xeon, bch --k 1000 takes 0.2 s in
 # process (0.33 s from a fresh process), verify_structure 0.44 s at dim 2 076,
 # 2.7 s at 6 092, 6.7 s at 7 381 and 13 s at 9 870, and solve-first on
-# chain([1]*139) (upward dim 9 870) 0.5 s, 5.0 s with --verify exact and
-# 0.7-1.9 s with --verify numeric.
+# chain([1]*139) (upward dim 9 870) 0.35 s, 3.6-4.2 s with --verify exact
+# and 0.6-0.8 s with --verify numeric.
 MAX_CSV_ROWS = 1_000_000
 MAX_BCH_K = 1000
 MAX_DIM = 10_000

@@ -13,7 +13,7 @@ serialization deterministic.
 
 Arithmetic works on the integers and builds each result once, through
 one normaliser. ``terms`` is the public view of the same polynomial with
-``fractions.Fraction`` coefficients.
+``fractions.Fraction`` coefficients. Nothing here evaluates in floats.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class MultiPoly:
     """Sparse exact polynomial in named variables.
 
     Supports ring arithmetic through operators, simultaneous substitution,
-    variable renaming, formal differentiation, definite integration from
-    zero, and evaluation over complex floats.
+    variable renaming, formal differentiation and definite integration
+    from zero; a caller that needs a float rounds ``num`` / ``den``.
     """
 
     __slots__ = ("variables", "num", "den")
@@ -126,6 +126,9 @@ class MultiPoly:
         vs = self.variables[:i] + self.variables[i + 1:]
         out = {e[:i] + e[i + 1:]: c for e, c in self.num.items() if e[i] == power}
         return _make(vs, out, self.den)
+
+    def variables_used(self):
+        return set(self.variables)
 
     # ----------------------------------------------------------- arithmetic
     def _promote(self, other):
@@ -253,27 +256,6 @@ class MultiPoly:
         scale = lcm(*(k for _, k, _ in split))
         out = {rest + (k,): c * (scale // k) for rest, k, c in split}
         return _make(vs, out, self.den * scale)
-
-    # ------------------------------------------------------------ evaluation
-    def variables_used(self):
-        return set(self.variables)
-
-    def eval_complex(self, assignment: Mapping[str, complex]) -> complex:
-        missing = self.variables_used() - set(assignment)
-        if missing:
-            raise ValueError(f"missing assignment for variables {sorted(missing)}")
-        total = 0j
-        for exps, c in self.num.items():
-            val = complex(c / self.den)
-            for v, e in zip(self.variables, exps):
-                if e:
-                    val *= complex(assignment[v]) ** e
-            total += val
-        return total
-
-    def eval_float(self, assignment: Mapping[str, float]) -> float:
-        z = self.eval_complex(assignment)
-        return z.real
 
     # --------------------------------------------------------------- output
     def __eq__(self, other):

@@ -7,12 +7,14 @@ of (variable, exponent) pairs, exponents positive) to a nonzero Fraction.
 sum, ``integrate_from_zero`` adds one term at a time, and the eta and
 xi~ families are built with ``substitute`` where the library renames
 variables. ``to_multipoly`` folds a parsed polynomial expression into a
-MultiPoly, so a test can expand f itself.
+MultiPoly, so a test can expand f itself. ``evaluate`` is a MultiPoly's
+exact value at a point, the reference for every float evaluation.
 """
 
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Sequence
+from math import prod
+from typing import Dict, Mapping, Sequence
 
 from treelie.errors import ExpressionError
 from treelie.expressions import BinOp, Call, ExprNode, Neg, Num, Pi, Var
@@ -32,6 +34,20 @@ def to_poly(d: dict) -> MultiPoly:
     variables = sorted({v for mono in d for v, _ in mono})
     return MultiPoly(
         variables, {tuple(dict(mono).get(v, 0) for v in variables): c for mono, c in d.items()}
+    )
+
+
+def evaluate(p: MultiPoly, point: Mapping[str, object]) -> Fraction:
+    """p at the point, exactly: each value (an int, a Fraction or a float,
+    whose binary value Fraction keeps) is raised term by term over the
+    Fraction coefficients of ``terms``."""
+    missing = p.variables_used() - set(point)
+    if missing:
+        raise ValueError(f"missing assignment for variables {sorted(missing)}")
+    values = [Fraction(point[v]) for v in p.variables]
+    return sum(
+        (c * prod(v ** e for v, e in zip(values, exps)) for exps, c in p.terms.items()),
+        Fraction(0),
     )
 
 

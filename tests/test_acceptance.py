@@ -40,6 +40,7 @@ from treelie.firstorder import bch_coefficients
 from treelie.heat import _exponent_parts, _mode_table, _waves
 from treelie.polynomials import MultiPoly
 
+from . import poly_oracle
 from .bch_oracle import bch_coefficient_nested_sum
 from .corpus import CORPUS, WIDE_Y
 from .flow_oracle import flow_rk4
@@ -173,7 +174,9 @@ def test_criterion_08_first_order_solver():
         x0 = rng.uniform(-1, 1, 3)
         t = rng.uniform(-1, 1)
         env = {"t": t, "x1": x0[0], "x2": x0[1], "x3": x0[2]}
-        exact = np.array([x0[i - 1] + fam.eta[i].eval_float(env) for i in (1, 2, 3)])
+        exact = np.array(
+            [float(Fraction(x0[i - 1]) + poly_oracle.evaluate(fam.eta[i], env)) for i in (1, 2, 3)]
+        )
         worst = max(worst, float(np.max(np.abs(flow_rk4(chain([1, 2]), x0, t) - exact))))
     assert worst <= 1e-6
     s = MultiPoly.var("t2")

@@ -246,6 +246,31 @@ class TestSolveFirst:
         )
         assert code == 1 and "coordinates" in err
 
+    # u = x2 + ((x1+t)^(w+1) - x1^(w+1))/(w+1) at t = 1 and the double
+    # nearest -0.9, correctly rounded: a float sum of eta's terms cancels
+    @pytest.mark.parametrize("weight, u", [
+        (40, 0.0003244584060314914),
+        (60, 2.6513266720049027e-05),
+        (100, 2.3668573266167118e-07),
+    ])
+    def test_heavy_edge_is_rounded_once(self, tree_file, capsys, weight, u):
+        x1 = Fraction(-0.9)
+        assert u == float(((x1 + 1) ** (weight + 1) - x1 ** (weight + 1)) / (weight + 1))
+        path = tree_file("a2.json", chain([weight]))
+        argv = ["solve-first", path, "--f", "x2", "--t", "1", "--x=-0.9,0", "--verify", "exact"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"u": u, "verified": True}
+
+    # judged by the error relative to max(1, |flow|): at weight 40 the
+    # coordinates reach about 2^41 / 41, past an absolute tolerance of 1e-6
+    @pytest.mark.parametrize("weight", [20, 40])
+    def test_heavy_edge_verifies_numerically(self, tree_file, capsys, weight):
+        path = tree_file("a2.json", chain([weight]))
+        argv = ["solve-first", path, "--f", "x2", "--t", "1", "--x=-0.9,0", "--verify", "numeric"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["verified"] is True
+
 
 class TestDegreeGuard:
     """solve-first puts no bound on the degree of f: exact verification
@@ -482,6 +507,16 @@ class TestNonFiniteAndOverflow:
             ["solve-first", path, "--f", "exp(1000*x1)", "--t", "0.1", "--x", "1,1"],
             capsys,
         )
+        _assert_one_line_error(code, out, err)
+        assert err == "error: u is not finite at the --t, --x point\n"
+
+    def test_coordinate_past_the_float_range_is_infinite(self, tree_file, capsys):
+        # on chain([2]) at t = 1, x + eta = (x1 + 1, x1^2 + x1 + 1/3), which
+        # rounds to (1e200, inf) at x1 = 1e200
+        path = tree_file("a2.json", chain([2]))
+        argv = ["solve-first", path, "--t", "1", "--x=1e200,0", "--f"]
+        assert run(argv + ["x1"], capsys) == (0, '{"u": 1e+200}\n', "")
+        code, out, err = run(argv + ["x2"], capsys)
         _assert_one_line_error(code, out, err)
         assert err == "error: u is not finite at the --t, --x point\n"
 

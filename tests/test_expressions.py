@@ -10,6 +10,7 @@ from treelie import ExpressionError, evaluate, parse_expression
 from treelie.expressions import BinOp, Pi
 from treelie.polynomials import MultiPoly
 
+from . import poly_oracle
 from .poly_oracle import to_multipoly
 
 
@@ -83,7 +84,8 @@ class TestPolynomialFolding:
         poly = to_multipoly(ast)
         for x in ([0.0, 0.0], [1.5, -0.5], [-2.0, 3.0]):
             expected = evaluate(ast, x)
-            assert poly.eval_float({"x1": x[0], "x2": x[1]}) == pytest.approx(expected)
+            value = poly_oracle.evaluate(poly, {"x1": x[0], "x2": x[1]})
+            assert float(value) == pytest.approx(expected)
 
     def test_pi_folds_only_at_evaluation(self):
         ast = parse_expression("2*pi", 1)

@@ -164,6 +164,45 @@ class TestSolveFirstOrder:
             sol(0.1, [1.0])
 
 
+# finite doubles of either sign, subnormals included, and 0, 1, -1 and -0.9
+_COORDINATES = st.floats(-4.0, 4.0) | st.sampled_from([0.0, 1.0, -1.0, -0.9])
+
+
+class TestShiftedPoint:
+    """x + eta is exact and rounded once: each coordinate is the double
+    nearest the exact value at the binary t and x."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 120), _COORDINATES, _COORDINATES, _COORDINATES)
+    def test_single_edge_is_correctly_rounded(self, weight, t, x1, x2):
+        # u = x2 + eta_2 = x2 + ((x1 + t)^(w+1) - x1^(w+1)) / (w + 1)
+        exact = Fraction(x2) + (
+            (Fraction(x1) + Fraction(t)) ** (weight + 1) - Fraction(x1) ** (weight + 1)
+        ) / (weight + 1)
+        assert solve_first_order(chain([weight]), "x2")(t, [x1, x2]) == float(exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_trees(max_weight=3), st.data())
+    def test_every_coordinate_equals_the_rounded_oracle(self, tree, data):
+        t = data.draw(_COORDINATES)
+        x = data.draw(st.lists(_COORDINATES, min_size=tree.n, max_size=tree.n))
+        point = {"t": t, **{f"x{i}": v for i, v in enumerate(x, 1)}}
+        family = eta_family(tree)
+        expected = [
+            float(Fraction(x[j - 1]) + poly_oracle.evaluate(family.eta[j], point))
+            for j in range(1, tree.n + 1)
+        ]
+        got = _shifted_point(family, t, x)
+        assert [float(v).hex() for v in got] == [v.hex() for v in expected]
+
+    def test_past_the_float_range_is_infinite(self):
+        # x + eta on chain([2]) at t = 1 is (x1 + 1, x2 + ((x1+1)^3 - x1^3)/3)
+        family = eta_family(chain([2]))
+        assert list(_shifted_point(family, 1.0, [1e200, 0.0])) == [1e200, np.inf]
+        assert list(_shifted_point(family, 1.0, [-1e200, 0.0])) == [-1e200, np.inf]
+        assert list(_shifted_point(family, -1.0, [1e200, 0.0])) == [1e200, -np.inf]
+
+
 def _polynomials(n):
     """Random polynomials in x1..xn of degree at most 3, as CLI text."""
     term = st.tuples(st.integers(-3, 3), st.lists(st.integers(1, n), max_size=3))
@@ -328,7 +367,7 @@ class TestGeneralCoefficients:
             t = float(rng.uniform(0.0, 1.0))
             x = rng.uniform(-1.0, 1.0, 3)
             env = {"t": t, "x1": x[0], "x2": x[1], "x3": x[2]}
-            exact = np.array([fam.eta[i].eval_float(env) for i in (1, 2, 3)])
+            exact = np.array([float(poly_oracle.evaluate(fam.eta[i], env)) for i in (1, 2, 3)])
             got = evaluate(t, x)
             assert np.max(np.abs(got - exact)) <= 1e-8
 
