@@ -21,6 +21,11 @@ nilpotence. Its spectral flow interpolates on N = nilpotence + 1
 Chebyshev-Lobatto points of [0, t] and integrates each node's field with
 one N x N matrix, parents first, which is exact up to rounding.
 
+One walk over the nodes, _spectral_flow, integrates both this field and
+eta_general_numeric's g_p(x_p) for float functions g. Those coordinates
+are not polynomials, so that route doubles the points until eta
+settles, geometrically for analytic g (Clenshaw and Curtis 1960).
+
 numpy is imported inside the numeric functions, so loading this module
 (and computing eta exactly or the bch series) does not load numpy.
 """
@@ -47,11 +52,11 @@ __all__ = [
     "verify_first_order",
     "eta_general_numeric",
     "FLOW_TOLERANCE",
-    "QUADRATURE_TOLERANCE",
 ]
 
 FLOW_TOLERANCE = 1e-6
-QUADRATURE_TOLERANCE = 1e-9
+# the general flow's largest integration matrix, 8 MB
+MAX_GENERAL_POINTS = 1025
 # the numeric check: random starts and times in [-1, 1], from a fixed seed
 NUMERIC_SAMPLES = 100
 NUMERIC_SEED = 20240817
@@ -231,34 +236,37 @@ def _integration_matrix(points: int) -> np.ndarray:
     return matrix
 
 
-def _spectral_flow(tree: TreeDiagram, starts, times) -> np.ndarray:
-    """The characteristic flow of x_1' = 1, x_j' = x_p^w from each start
-    (samples, n) for its own time (samples,), as a (samples, n) array.
+def _spectral_flow(tree: TreeDiagram, starts, times, field, points: int) -> np.ndarray:
+    """The shift eta at tau = 1 of the flow x_1' = 1, x_j' = field(j, x_p)
+    from each start (samples, n) for its own time (samples,), as a
+    (samples, n) array: field maps a child node and its parent's grid to
+    the edge field on that grid.
 
-    On tau = s / t in [0, 1] each node is X_j = x0_j + t (X_p^w) S^T,
-    parents first, with S the integration matrix; every grid column is
-    then exact, and the last one, tau = 1, is the flow at time t. A tip
+    On tau = s / t in [0, 1] each node is X_j = x0_j + t field(j, X_p) S^T,
+    parents first, with S the integration matrix on the given number of
+    points; the last grid column, tau = 1, is the flow at time t. A tip
     needs only that column. Nodes are visited depth first, so the grids
     held at once are those of one path from the root."""
     import numpy as np
 
     starts = np.asarray(starts, dtype=float)
     times = np.asarray(times, dtype=float)[:, None]
-    integrate = _integration_matrix(_flow_points(tree)).T
+    integrate = _integration_matrix(points).T
     children = [[] for _ in range(tree.n + 1)]
-    for p, c, w in tree.edges():
-        children[p].append((c, w))
+    for p, c, _ in tree.edges():
+        children[p].append(c)
     out = np.empty_like(starts)
-    stack = [(1, np.ones((len(starts), len(integrate))), 1)]
+    stack = [(1, None)]
     while stack:
-        j, parent, w = stack.pop()
-        field = parent ** w
+        j, parent = stack.pop()
+        values = np.ones((len(starts), points)) if parent is None else field(j, parent)
         if children[j]:
-            grid = starts[:, j - 1 : j] + times * (field @ integrate)
-            out[:, j - 1] = grid[:, -1]
-            stack.extend((c, grid, weight) for c, weight in children[j])
+            shift = times * (values @ integrate)
+            out[:, j - 1] = shift[:, -1]
+            grid = starts[:, j - 1 : j] + shift
+            stack.extend((c, grid) for c in children[j])
         else:
-            out[:, j - 1] = starts[:, j - 1] + times[:, 0] * (field @ integrate[:, -1])
+            out[:, j - 1] = times[:, 0] * (values @ integrate[:, -1])
     return out
 
 
@@ -315,39 +323,26 @@ def verify_first_order(family: EtaFamily, f, mode: str = "exact") -> FirstOrderR
         import numpy as np
 
         starts, times = _numeric_samples(tree.n)
-        flowed = _spectral_flow(tree, starts, times)
+        power = lambda c, grid: grid ** tree.weight(c)
+        flowed = starts + _spectral_flow(tree, starts, times, power, _flow_points(tree))
         error = np.abs(flowed - _shifted_points(family, starts, times))
         worst = float(np.max(error / np.maximum(1.0, np.abs(flowed))))
         return FirstOrderReport(ok=worst <= FLOW_TOLERANCE, mode="numeric", max_error=worst)
     raise ValueError(f"mode must be 'exact' or 'numeric', got {mode!r}")
 
 
-def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float, depth: int = 0, max_depth: int = 24):
-    if depth > max_depth:
-        raise RuntimeError(
-            f"quadrature failed to converge at nesting depth {depth}"
-        )
-    m = 0.5 * (a + b)
-    fa, fm, fb = fn(a), fn(m), fn(b)
-    whole = (b - a) / 6.0 * (fa + 4 * fm + fb)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    left = (m - a) / 6.0 * (fa + 4 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4 * frm + fb)
-    if abs(left + right - whole) <= 15 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(fn, a, m, tol / 2, depth + 1, max_depth) + _adaptive_simpson(
-        fn, m, b, tol / 2, depth + 1, max_depth
-    )
-
-
 def eta_general_numeric(tree: TreeDiagram, g: Mapping[int, Callable[[float], float]]):
     """Numeric characteristic shifts when the edge coefficient of parent i
-    is an arbitrary continuous g_i rather than a power.
+    is a float function g_i rather than a power: an evaluator
+    (t, x) -> array of eta values per node.
 
-    Returns an evaluator (t, x) -> array of eta values per node, computed
-    by nested adaptive Simpson quadrature with absolute tolerance 1e-9 per
-    level. With g_i(v) = v**w it agrees with the exact polynomials.
+    The spectral flow runs with g_p applied to the parent grid value by
+    value, on 9, 17, 33, ... points, until two successive values of every
+    eta_j agree within 1e-13 max(1, |eta_j|). That needs g smooth on the
+    range the flow visits: a kink there, such as abs crossing 0, raises
+    RuntimeError past MAX_GENERAL_POINTS. A non-finite t, x or g value
+    raises ValueError. With g_i(v) = v**w it agrees with the exact
+    polynomials.
     """
     import numpy as np
 
@@ -356,26 +351,33 @@ def eta_general_numeric(tree: TreeDiagram, g: Mapping[int, Callable[[float], flo
     if missing:
         raise ValueError(f"missing coefficient functions for nodes {sorted(missing)}")
 
+    def field(c: int, grid: np.ndarray) -> np.ndarray:
+        p = tree.parent(c)
+        values = np.array([[g[p](v) for v in grid[0].tolist()]], dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"node {p}'s coefficient g[{p}] is not finite on the flow")
+        return values
+
     def evaluate(t: float, x: Sequence[float]) -> np.ndarray:
         if len(x) != tree.n:
             raise ValueError(f"expected {tree.n} coordinates, got {len(x)}")
-        cache: Dict[Tuple[int, float], float] = {}
-
-        def eta_at(i: int, s: float) -> float:
-            if i == 1:
-                return s
-            key = (i, s)
-            if key not in cache:
-                p = tree.parent(i)
-                gp = g[p]
-                cache[key] = _adaptive_simpson(
-                    lambda y: gp(x[p - 1] + eta_at(p, y)),
-                    0.0,
-                    s,
-                    QUADRATURE_TOLERANCE,
-                )
-            return cache[key]
-
-        return np.array([eta_at(i, float(t)) for i in range(1, tree.n + 1)])
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"x must be finite, got {list(x)!r}")
+        starts, times = np.array([x], dtype=float), np.array([t], dtype=float)
+        points = 9
+        last = _spectral_flow(tree, starts, times, field, points)[0]
+        while 2 * points - 1 <= MAX_GENERAL_POINTS:
+            points = 2 * points - 1
+            eta = _spectral_flow(tree, starts, times, field, points)[0]
+            change = np.abs(eta - last) / np.maximum(1.0, np.abs(eta))
+            if np.all(change <= 1e-13):
+                return eta
+            last = eta
+        raise RuntimeError(
+            f"eta did not converge within the cap of {MAX_GENERAL_POINTS} points: "
+            f"it still moves by {np.max(change):.1e} relative at {points} points"
+        )
 
     return evaluate

@@ -2,7 +2,8 @@
 and both verification routes for the first-order solver."""
 
 from fractions import Fraction
-from math import exp, factorial
+import time
+from math import exp, factorial, inf, nan
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from treelie.firstorder import (
     _numeric_samples,
     _shifted_point,
     _shifted_points,
+    MAX_GENERAL_POINTS,
     _spectral_flow,
 )
 from treelie.liealg import dim_and_nilpotence
@@ -35,7 +37,7 @@ from treelie.polynomials import MultiPoly
 from . import poly_oracle
 from .bch_oracle import bch_coefficient_nested_sum, series_inversion
 from .corpus import CORPUS, small_trees
-from .flow_oracle import flow_rk4
+from .flow_oracle import eta_simpson, flow_rk4
 from .poly_oracle import to_multipoly
 from .residual_oracle import f_residual
 
@@ -43,6 +45,13 @@ X1 = MultiPoly.var("x1")
 X2 = MultiPoly.var("x2")
 T = MultiPoly.var("t")
 S = MultiPoly.var("t2")
+
+
+def power_flow(tree, starts, times):
+    """The numeric check's flow: starts plus the spectral walk's shift
+    for the power field x_p^w."""
+    power = lambda c, grid: grid ** tree.weight(c)
+    return starts + _spectral_flow(tree, starts, times, power, _flow_points(tree))
 
 
 class TestBchCoefficients:
@@ -304,7 +313,7 @@ class TestVerifyNumeric:
         family = eta_family(tree)
         starts, times = _numeric_samples(tree.n)
         loop = np.array([_shifted_point(family, t, x0) for x0, t in zip(starts, times)])
-        assert np.max(np.abs(_spectral_flow(tree, starts, times) - loop)) <= 1e-12
+        assert np.max(np.abs(power_flow(tree, starts, times) - loop)) <= 1e-12
         assert np.max(np.abs(_shifted_points(family, starts, times) - loop)) <= 1e-12
         assert verify_first_order(family, "x1", mode="numeric").max_error <= 1e-12
 
@@ -314,7 +323,7 @@ class TestVerifyNumeric:
         rng = np.random.default_rng(seed)
         starts = rng.uniform(-1.0, 1.0, (8, tree.n))
         times = rng.uniform(-1.0, 1.0, 8)
-        spectral = _spectral_flow(tree, starts, times)
+        spectral = power_flow(tree, starts, times)
         np.testing.assert_allclose(spectral, flow_rk4(tree, starts, times), rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("points", [2, 3, 4, 7, 16, 65, 141, 501])
@@ -374,3 +383,44 @@ class TestGeneralCoefficients:
     def test_missing_function(self):
         with pytest.raises(ValueError, match="missing coefficient"):
             eta_general_numeric(chain([1, 1]), {1: exp})
+
+    @pytest.mark.parametrize("t", [0.7, -0.6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exponential_chains_match_simpson_oracle(self, k, t):
+        tree = chain([1] * k)
+        g = {i: exp for i in range(1, k + 1)}
+        x = np.random.default_rng(k).uniform(-1.0, 1.0, k + 1)
+        got = eta_general_numeric(tree, g)(t, x)
+        np.testing.assert_allclose(got, eta_simpson(tree, g, t, x), rtol=0, atol=1e-9)
+
+    def test_long_exponential_chain_is_fast(self):
+        evaluate = eta_general_numeric(chain([1] * 40), {i: exp for i in range(1, 41)})
+        start = time.perf_counter()
+        got = evaluate(0.5, [0.1] * 41)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.isfinite(got))
+
+    def test_kink_crossed_raises_at_the_cap(self):
+        # |v| at x1 = -0.3 crosses 0 at s = 0.3 < t: algebraic convergence only
+        evaluate = eta_general_numeric(chain([1]), {1: abs})
+        with pytest.raises(RuntimeError, match=f"cap of {MAX_GENERAL_POINTS} points"):
+            evaluate(0.8, [-0.3, 0.0])
+
+    def test_kink_not_crossed_converges(self):
+        # |v| = v on [0.5, 0.7]: eta_2 = 0.5 t + t^2 / 2
+        got = eta_general_numeric(chain([1]), {1: abs})(0.2, [0.5, 0.0])
+        assert got[1] == pytest.approx(0.12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "t, x, message",
+        [(nan, [0.1, 0.2], "t must be finite"), (inf, [0.1, 0.2], "t must be finite"),
+         (0.5, [0.1, -inf], "x must be finite"), (0.5, [nan, 0.2], "x must be finite")],
+    )
+    def test_non_finite_input_raises(self, t, x, message):
+        with pytest.raises(ValueError, match=message):
+            eta_general_numeric(chain([1]), {1: exp})(t, x)
+
+    def test_non_finite_coefficient_names_its_node(self):
+        evaluate = eta_general_numeric(chain([1, 1]), {1: exp, 2: lambda v: inf})
+        with pytest.raises(ValueError, match="node 2's coefficient"):
+            evaluate(0.5, [0.1, 0.2, 0.3])
