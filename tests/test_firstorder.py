@@ -1,8 +1,8 @@
 """Exponential-regrouping coefficients, characteristic shift polynomials,
 and both verification routes for the first-order solver."""
 
-from fractions import Fraction
 import time
+from fractions import Fraction
 from math import exp, factorial, inf, nan
 
 import numpy as np
@@ -22,13 +22,13 @@ from treelie import (
 )
 from treelie.cli import MAX_BCH_K
 from treelie.firstorder import (
+    MAX_GENERAL_POINTS,
     EtaFamily,
     _flow_points,
     _integration_matrix,
     _numeric_samples,
     _shifted_point,
     _shifted_points,
-    MAX_GENERAL_POINTS,
     _spectral_flow,
 )
 from treelie.liealg import dim_and_nilpotence
